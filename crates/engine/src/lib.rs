@@ -1411,6 +1411,77 @@ mod tests {
         assert!(resumed.index_manager().maintained_aggregates() > 0);
     }
 
+    /// Maintained grids (`getNearestEnemy`) and materialized answers
+    /// (`CountEnemiesInRange`) live side by side on the shared mirror.
+    fn mixed_sites_config(schema: &Schema) -> ExecConfig {
+        ExecConfig::indexed(schema)
+            .with_policy(sgl_exec::MaintenancePolicy::Incremental)
+            .with_planner(sgl_exec::PlannerMode::ForceMaterialized)
+    }
+
+    #[test]
+    fn shared_mirror_tracks_deaths_and_out_of_band_edits() {
+        let (schema, mut reference) = build_sim(40, true);
+        let (_, mut mixed) = build_sim(40, true);
+        mixed.set_exec_config(mixed_sites_config(&schema));
+        let edit = |table: &mut EnvTable| {
+            let key = table.schema().key_attr();
+            table
+                .remove_where(|r| r.get_i64(key).unwrap() == 7)
+                .unwrap();
+            let spawned = TupleBuilder::new(table.schema())
+                .set("key", 900i64)
+                .unwrap()
+                .set("player", 1i64)
+                .unwrap()
+                .set("posx", 12.0)
+                .unwrap()
+                .set("posy", 30.0)
+                .unwrap()
+                .set("health", 20i64)
+                .unwrap()
+                .build();
+            table.insert(spawned).unwrap();
+        };
+        for tick in 0..10 {
+            if tick == 4 {
+                edit(reference.table_mut());
+                edit(mixed.table_mut());
+            }
+            reference.step().unwrap();
+            mixed.step().unwrap();
+            assert_eq!(mixed.digest(), reference.digest(), "tick {tick}");
+        }
+        // Deaths removed rows between passes, so the key join ran too.
+        assert!(mixed.table().len() < 40);
+        assert!(mixed.index_manager().maintained_aggregates() > 0);
+        assert!(mixed.index_manager().materialized_sites() > 0);
+    }
+
+    #[test]
+    fn shared_mirror_resume_then_tick_matches_the_uninterrupted_run() {
+        let (schema, mut reference) = build_sim(32, true);
+        let digests: Vec<crate::replay::StateDigest> = (0..6)
+            .map(|_| {
+                reference.step().unwrap();
+                reference.digest()
+            })
+            .collect();
+        let (_, mut writer) = build_sim(32, true);
+        writer.set_exec_config(mixed_sites_config(&schema));
+        for _ in 0..4 {
+            writer.step().unwrap();
+        }
+        let bytes = writer.checkpoint().unwrap();
+        let (_, mut resumed) = build_sim(32, true);
+        resumed.resume(&bytes, mixed_sites_config(&schema)).unwrap();
+        assert!(resumed.index_manager().maintained_aggregates() > 0);
+        resumed.step().unwrap();
+        writer.step().unwrap();
+        assert_eq!(resumed.digest(), digests[4]);
+        assert_eq!(writer.digest(), digests[4]);
+    }
+
     #[test]
     fn resume_rejects_corruption_and_mismatches_without_touching_state() {
         let (_, mut writer) = build_sim(12, true);

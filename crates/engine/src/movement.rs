@@ -101,22 +101,11 @@ pub fn run_movement(
     if n == 0 {
         return Ok(stats);
     }
-    let schema = table.schema().clone();
-    // Snapshot current positions for collision checks.
-    let positions: Vec<Point2> = (0..n)
-        .map(|i| {
-            Point2::new(
-                table.row(i).get_f64(config.x).unwrap_or(0.0),
-                table.row(i).get_f64(config.y).unwrap_or(0.0),
-            )
-        })
-        .collect();
-    let grid = UniformGrid::build(
-        &positions,
-        Point2::new(config.world.0, config.world.1),
-        Point2::new(config.world.2, config.world.3),
-        (config.collision_radius * 4.0).max(1.0),
-    );
+    let positions = position_snapshot(table, config);
+    // Collision grid over the pre-move positions, built when the first
+    // mover needs it: a tick in which nobody moves never pays for it.
+    let mut grid: Option<UniformGrid> = None;
+    let mut hits = Vec::new();
     let mut moved_hash = MovedHash::new((config.collision_radius * 2.0).max(1.0));
     let mut moved_rows: Vec<bool> = vec![false; n];
 
@@ -178,8 +167,15 @@ pub fn run_movement(
             // Collide against pre-move positions of units that have not moved
             // yet, and against the post-move positions of units that have.
             let rect = Rect::centered(candidate.x, candidate.y, config.collision_radius);
-            let mut hits = Vec::new();
-            grid.query_into(&rect, &mut hits);
+            grid.get_or_insert_with(|| {
+                UniformGrid::build(
+                    &positions,
+                    Point2::new(config.world.0, config.world.1),
+                    Point2::new(config.world.2, config.world.3),
+                    (config.collision_radius * 4.0).max(1.0),
+                )
+            })
+            .query_into(&rect, &mut hits);
             let static_clash = hits.iter().any(|h| {
                 let h = *h as usize;
                 h != idx
@@ -211,8 +207,28 @@ pub fn run_movement(
             }
         }
     }
-    let _ = schema;
     Ok(stats)
+}
+
+/// Every unit's position, column-at-a-time.  A column that is not numeric
+/// throughout is read row by row, a non-numeric value reading as 0.
+fn position_snapshot(table: &EnvTable, config: &MovementConfig) -> Vec<Point2> {
+    match (table.column_f64(config.x), table.column_f64(config.y)) {
+        (Ok(xs), Ok(ys)) => xs
+            .into_iter()
+            .zip(ys)
+            .map(|(x, y)| Point2::new(x, y))
+            .collect(),
+        _ => (0..table.len())
+            .map(|i| {
+                let row = table.row(i);
+                Point2::new(
+                    row.get_f64(config.x).unwrap_or(0.0),
+                    row.get_f64(config.y).unwrap_or(0.0),
+                )
+            })
+            .collect(),
+    }
 }
 
 #[cfg(test)]
@@ -367,6 +383,189 @@ mod tests {
                     "units {i} and {j} overlap"
                 );
             }
+        }
+    }
+
+    fn lcg(state: &mut u64) -> f64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((*state >> 11) as f64) / ((1u64 << 53) as f64)
+    }
+
+    /// O(n²) reference for [`run_movement`]: the same processing order and
+    /// candidate moves, with every collision check a scan over all units.
+    fn brute_force_movement(
+        start: &[Point2],
+        vectors: &[(f64, f64)],
+        config: &MovementConfig,
+        rng: &TickRandom,
+    ) -> (Vec<Point2>, MovementStats) {
+        let n = start.len();
+        let r2 = config.collision_radius * config.collision_radius;
+        let mut stats = MovementStats::default();
+        let mut now = start.to_vec();
+        let mut moved = vec![false; n];
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.below(i as i64, 7_777, (i + 1) as i64) as usize);
+        }
+        let (x0, y0, x1, y1) = config.world;
+        let clamp = |x: f64, y: f64| Point2::new(x.clamp(x0, x1), y.clamp(y0, y1));
+        for idx in order {
+            let (dx, dy) = vectors[idx];
+            let norm = (dx * dx + dy * dy).sqrt();
+            if norm <= f64::EPSILON {
+                continue;
+            }
+            stats.movers += 1;
+            let scale = (config.step / norm).min(1.0);
+            let p = start[idx];
+            let candidates = [
+                clamp(p.x + dx * scale, p.y + dy * scale),
+                clamp(p.x + dx * scale, p.y),
+                clamp(p.x, p.y + dy * scale),
+            ];
+            let free = |c: &Point2| {
+                (0..n).all(|j| {
+                    if moved[j] {
+                        now[j].dist2(c) > r2
+                    } else {
+                        j == idx || start[j].dist2(c) >= r2
+                    }
+                })
+            };
+            match candidates.iter().position(free) {
+                Some(ci) => {
+                    if ci == 0 {
+                        stats.moved += 1;
+                    } else {
+                        stats.detoured += 1;
+                    }
+                    now[idx] = candidates[ci];
+                }
+                None => stats.blocked += 1,
+            }
+            moved[idx] = true;
+        }
+        (now, stats)
+    }
+
+    /// Run the movement phase and the brute-force reference on one world;
+    /// assert identical positions (bit for bit) and statistics, and that no
+    /// two units overlap afterwards.
+    fn assert_matches_brute_force(start: &[(f64, f64)], vectors: &[(f64, f64)], side: f64) {
+        let (schema, mut table, mut config) = setup(start);
+        config.world = (0.0, 0.0, side, side);
+        let mut effects = EffectBuffer::new(Arc::clone(&schema));
+        for (key, (dx, dy)) in vectors.iter().enumerate() {
+            effects
+                .apply(key as i64, config.dx, Value::Float(*dx))
+                .unwrap();
+            effects
+                .apply(key as i64, config.dy, Value::Float(*dy))
+                .unwrap();
+        }
+        let rng = GameRng::new(21).for_tick(4);
+        let stats = run_movement(&mut table, &effects, &config, &rng).unwrap();
+        let points: Vec<Point2> = start.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+        let (expected, expected_stats) = brute_force_movement(&points, vectors, &config, &rng);
+        assert_eq!(stats, expected_stats);
+        for (row, want) in expected.iter().enumerate() {
+            let got = Point2::new(
+                table.row(row).get_f64(config.x).unwrap(),
+                table.row(row).get_f64(config.y).unwrap(),
+            );
+            assert_eq!(
+                (got.x.to_bits(), got.y.to_bits()),
+                (want.x.to_bits(), want.y.to_bits()),
+                "unit {row}"
+            );
+        }
+        let r2 = config.collision_radius * config.collision_radius;
+        for i in 0..expected.len() {
+            for j in (i + 1)..expected.len() {
+                assert!(
+                    expected[i].dist2(&expected[j]) >= r2 - 1e-9,
+                    "{i} and {j} overlap"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_worlds_match_the_brute_force_reference() {
+        // 300 units at 0.05 % density.
+        let n = 300;
+        let side = (n as f64 / 0.0005).sqrt();
+        let mut state = 77u64;
+        let start: Vec<(f64, f64)> = (0..n)
+            .map(|_| (lcg(&mut state) * side, lcg(&mut state) * side))
+            .collect();
+        let vectors: Vec<(f64, f64)> = (0..n)
+            .map(|_| (lcg(&mut state) * 4.0 - 2.0, lcg(&mut state) * 4.0 - 2.0))
+            .collect();
+        assert_matches_brute_force(&start, &vectors, side);
+    }
+
+    #[test]
+    fn dense_formations_match_the_brute_force_reference() {
+        // A 15 × 15 block at unit spacing, everyone pushing to its centre:
+        // most moves collide, detour or block.
+        let start: Vec<(f64, f64)> = (0..225)
+            .map(|i| (20.0 + (i % 15) as f64, 20.0 + (i / 15) as f64))
+            .collect();
+        let vectors: Vec<(f64, f64)> = start.iter().map(|&(x, y)| (27.0 - x, 27.0 - y)).collect();
+        assert_matches_brute_force(&start, &vectors, 60.0);
+    }
+
+    #[test]
+    fn a_tick_without_movers_leaves_the_table_untouched() {
+        let positions: Vec<(f64, f64)> = (0..40).map(|i| (i as f64 * 2.0, 7.5)).collect();
+        let (schema, mut table, config) = setup(&positions);
+        let columns = |table: &EnvTable| -> Vec<Vec<Value>> {
+            (0..schema.len())
+                .map(|attr| table.column_values(attr).unwrap())
+                .collect()
+        };
+        let before = columns(&table);
+        let mut effects = EffectBuffer::new(Arc::clone(&schema));
+        // A zero vector is not a move.
+        effects.apply(3, config.dx, Value::Float(0.0)).unwrap();
+        let rng = GameRng::new(2).for_tick(9);
+        let stats = run_movement(&mut table, &effects, &config, &rng).unwrap();
+        assert_eq!(stats, MovementStats::default());
+        assert_eq!(columns(&table), before);
+    }
+
+    #[test]
+    fn huge_sparse_worlds_keep_the_collision_grid_proportional_to_units() {
+        // A 1e6 × 1e6 world: cell-per-area bucketing would need ~8e10
+        // buckets for the 3.6-unit collision cell.
+        let side = 1e6;
+        let start: Vec<(f64, f64)> = (0..6).map(|i| (1e5 * (i + 1) as f64, 5e5)).collect();
+        let (schema, mut table, mut config) = setup(&start);
+        config.world = (0.0, 0.0, side, side);
+        let grid = CollisionGrid::build(
+            &start
+                .iter()
+                .map(|&(x, y)| Point2::new(x, y))
+                .collect::<Vec<_>>(),
+            Point2::new(0.0, 0.0),
+            Point2::new(side, side),
+            config.collision_radius * 4.0,
+        );
+        let (cols, rows) = grid.dims();
+        assert!(cols * rows <= sgl_index::grid::MIN_CELL_BUDGET);
+        let mut effects = EffectBuffer::new(Arc::clone(&schema));
+        for key in 0..6 {
+            effects.apply(key, config.dy, Value::Float(1.0)).unwrap();
+        }
+        let rng = GameRng::new(8).for_tick(1);
+        let stats = run_movement(&mut table, &effects, &config, &rng).unwrap();
+        assert_eq!(stats.moved, 6);
+        for row in 0..6 {
+            assert_eq!(table.row(row).get_f64(config.y).unwrap(), 5e5 + 1.0);
         }
     }
 }

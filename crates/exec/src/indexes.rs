@@ -33,7 +33,7 @@ use sgl_index::range_tree::RangeTree2D;
 use sgl_index::sweepline::{sweep_min_max, SweepKind};
 use sgl_index::traits::{build_agg_index, AggIndex, AggStructureKind, IndexDelta, IndexRow};
 use sgl_index::{Point2, Rect};
-use sgl_lang::ast::{Term, VarRef};
+use sgl_lang::ast::Term;
 use sgl_lang::builtins::{AggSpec, SimpleAgg};
 use sgl_lang::eval::{eval_term, EvalContext, NoAggregates, ScriptValue};
 
@@ -42,6 +42,9 @@ use sgl_algebra::cost::{MaintenanceChoice, PhysicalBackend};
 use crate::config::{ExecConfig, MaintenancePolicy, SpatialAttrs, TickStats};
 use crate::error::{ExecError, Result};
 use crate::filter::FilterAnalysis;
+use crate::mirror::{
+    channel_column, extract_f64_column, MirrorColumns, MirrorPass, RowMirror, RowSnap, SiteColumns,
+};
 use crate::planner::{AggStrategy, PlannedAggregate};
 use crate::stats::TickObservations;
 
@@ -85,7 +88,7 @@ pub fn fingerprint_values(vs: &[Value]) -> u64 {
 
 /// Strict (type- and bit-sensitive) value equality, matching the semantics
 /// of the fingerprint: two values compare equal iff they fingerprint equal.
-fn same_value(a: &Value, b: &Value) -> bool {
+pub(crate) fn same_value(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => x == y,
         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
@@ -95,7 +98,7 @@ fn same_value(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn fingerprint_attrs(attrs: &[AttrId]) -> u64 {
+pub(crate) fn fingerprint_attrs(attrs: &[AttrId]) -> u64 {
     let mut h = rustc_hash::FxHasher::default();
     for a in attrs {
         h.write_usize(*a);
@@ -123,60 +126,8 @@ fn partition_matches(partition_values: &[Value], required: &RequiredValues) -> b
     true
 }
 
-/// Evaluate a term whose only row context is the candidate row itself
-/// (channel values, categorical attribute reads).
-fn eval_row_term(
-    term: &Term,
-    table: &EnvTable,
-    row: usize,
-    constants: &FxHashMap<String, Value>,
-) -> Result<Value> {
-    // The term must not reference `u.*`; planner guarantees this.  We still
-    // need *some* unit in the context, so we use the row itself.
-    let schema = table.schema();
-    let tuple = table.row(row);
-    let rng = sgl_env::GameRng::new(0).for_tick(0);
-    let ctx = EvalContext::new(schema, tuple, &rng, constants);
-    let ctx = ctx.with_row(tuple);
-    let mut no_aggs = NoAggregates;
-    Ok(eval_term(term, &ctx, &mut no_aggs)?.as_scalar()?.clone())
-}
-
-/// One whole attribute column as `f64`, with the same coercions as the
-/// per-row `Value::as_f64` (the typed extractor rejects Bool pages, the
-/// per-row read does not — fall through to the generic view for those).
-fn extract_f64_column(table: &EnvTable, attr: AttrId) -> Result<Vec<f64>> {
-    if let Ok(col) = table.column_f64(attr) {
-        return Ok(col);
-    }
-    let mut out = Vec::with_capacity(table.len());
-    for v in table.column_values(attr)? {
-        out.push(v.as_f64()?);
-    }
-    Ok(out)
-}
-
-/// Evaluate a channel term for every row of the table, column-at-a-time
-/// when the term is a bare `e.attr` read (the common shape for SUM/AVG/
-/// MIN/MAX channels); anything more complex falls back to the per-row
-/// evaluator, which builds a full evaluation context per row.
-fn channel_column(
-    term: &Term,
-    table: &EnvTable,
-    constants: &FxHashMap<String, Value>,
-) -> Result<Vec<f64>> {
-    if let Term::Var(VarRef::Row(name)) = term {
-        if let Some(attr) = table.schema().attr_id(name) {
-            return extract_f64_column(table, attr);
-        }
-    }
-    (0..table.len())
-        .map(|r| Ok(eval_row_term(term, table, r, constants)?.as_f64()?))
-        .collect()
-}
-
 /// Fingerprint of a single term (the channel-column cache key).
-fn fingerprint_term(term: &Term) -> u64 {
+pub(crate) fn fingerprint_term(term: &Term) -> u64 {
     fingerprint_terms(std::slice::from_ref(term))
 }
 
@@ -215,7 +166,8 @@ pub struct MaintStats {
     pub delta_ops: usize,
     /// Maintained partitions rebuilt from scratch.
     pub partition_rebuilds: usize,
-    /// Rows diffed against the mirror.
+    /// Rows diffed against the shared row mirror: the table length, counted
+    /// once per pass however many sites read the mirror.
     pub rows_scanned: usize,
     /// Unit keys touched by the tick's combined effect relation (a hint for
     /// correlating effect volume with delta volume; correctness never
@@ -243,14 +195,14 @@ impl MaintStats {
 }
 
 /// The maintained state of one aggregate definition: one [`DynamicAggGrid`]
-/// per categorical partition plus a mirror of the last indexed row states.
+/// per categorical partition.
+#[derive(Default)]
 struct DynAggState {
-    cat_attrs: Vec<AttrId>,
-    channels: Vec<Term>,
+    cols: SiteColumns,
+    /// The mirror generation the grids reflect (`None` = never built).
+    synced: Option<u64>,
     grids: FxHashMap<u64, DynamicAggGrid>,
     partition_values: FxHashMap<u64, Vec<Value>>,
-    /// unit key → (partition fp, point, channel values) as last indexed.
-    mirror: FxHashMap<i64, (u64, Point2, Vec<f64>)>,
 }
 
 /// How a materialized call site's folded answers can be patched from the
@@ -271,7 +223,7 @@ enum MatPatch {
 }
 
 /// One materialized answer: the folded result of a subscription, kept
-/// current by [`sync_mat_state`] until a delta it cannot patch exactly
+/// current by [`sync_answers`] until a delta it cannot patch exactly
 /// arrives.
 pub(crate) struct MatEntry {
     /// The categorical constraint the subscription evaluated to.
@@ -299,16 +251,15 @@ pub(crate) struct MatWrite {
     pub(crate) entry: MatEntry,
 }
 
-/// The materialized state of one aggregate call site: a mirror of the last
-/// indexed row states (the delta source) plus the per-subscriber answers.
+/// The materialized state of one aggregate call site: the per-subscriber
+/// answers, patched from the shared mirror's row changes.
 struct MatAggState {
-    cat_attrs: Vec<AttrId>,
-    channels: Vec<Term>,
+    cols: SiteColumns,
+    /// The mirror generation the answers reflect (`None` = never synced).
+    synced: Option<u64>,
     patch: MatPatch,
     /// MIN/MAX sites: per-output minimize flag.
     minimize: Vec<bool>,
-    /// unit key → (categorical values, point, channel values) as last seen.
-    mirror: FxHashMap<i64, (Vec<Value>, Point2, Vec<f64>)>,
     /// subscriber key → answers per subscription fingerprint.
     entries: FxHashMap<i64, Vec<(u64, MatEntry)>>,
 }
@@ -317,10 +268,10 @@ struct MatAggState {
 ///
 /// Under `RebuildEachTick` the manager is stateless (structures live only in
 /// the per-tick [`TickIndexes`]).  Under the dynamic policies it owns the
-/// maintained structures, a mirror of the last indexed environment, and the
-/// diff/patch machinery that keeps them in sync: [`IndexManager::end_tick`]
-/// is called by the engine after post-processing, movement and resurrection
-/// have mutated the environment.
+/// maintained structures, the shared columnar mirror of the last indexed
+/// environment, and the diff/patch machinery that keeps them in sync:
+/// [`IndexManager::end_tick`] is called by the engine after post-processing,
+/// movement and resurrection have mutated the environment.
 pub struct IndexManager {
     policy: MaintenancePolicy,
     spatial: Option<SpatialAttrs>,
@@ -329,6 +280,8 @@ pub struct IndexManager {
     /// [`PhysicalBackend::Materialized`].  Deliberately absent from
     /// checkpoints: rebuilt lazily on resume, like the per-tick structures.
     materialized: FxHashMap<String, MatAggState>,
+    /// What every maintained and materialized site last absorbed.
+    mirror: RowMirror,
     synced: bool,
     /// Counters of the most recent maintenance pass.
     pub last_maint: MaintStats,
@@ -418,6 +371,7 @@ impl IndexManager {
             spatial: config.spatial,
             dynamic: FxHashMap::default(),
             materialized: FxHashMap::default(),
+            mirror: RowMirror::default(),
             synced: false,
             last_maint: MaintStats::default(),
         }
@@ -451,6 +405,7 @@ impl IndexManager {
     pub fn invalidate(&mut self) {
         self.dynamic.clear();
         self.materialized.clear();
+        self.mirror = RowMirror::default();
         self.synced = false;
     }
 
@@ -501,10 +456,13 @@ impl IndexManager {
 
     /// Synchronize the maintained structures with the environment.  Called
     /// by the engine after the mutation phases of each tick (and lazily
-    /// before execution when the state is stale).  `effect_keys` — the unit
-    /// keys touched by the tick's combined effect relation — is a hint used
-    /// for accounting; correctness comes from diffing against the mirror,
-    /// because movement resolves collisions outside the effect relation.
+    /// before execution when the state is stale).
+    ///
+    /// One pass serves every site: each distinct column the sites read is
+    /// extracted once and compared row by row with the shared mirror, and
+    /// each site then works only on the rows that changed in its own
+    /// columns.  Correctness comes from this diff, not from the tick's
+    /// effect relation, because movement resolves collisions outside it.
     pub fn end_tick(
         &mut self,
         table: &EnvTable,
@@ -513,61 +471,83 @@ impl IndexManager {
     ) -> Result<MaintStats> {
         let policy = self.policy;
         let any_grid = planned.values().any(|p| plan_is_maintained(policy, p));
-        let any_mat = planned.values().any(|p| plan_is_materialized(p));
+        let any_mat = planned.values().any(plan_is_materialized);
         if !any_grid && !any_mat {
-            self.dynamic.clear();
-            self.materialized.clear();
+            self.invalidate();
             self.synced = true;
             return Ok(MaintStats::default());
         }
-        let mut stats = MaintStats::default();
         let Some(spatial) = self.spatial else {
             return Ok(MaintStats::default());
         };
         // Drop states for aggregates that disappeared from the registry or
-        // are no longer routed to a maintained structure.
+        // are no longer routed to a maintained structure; register new ones.
+        // A site whose columns changed starts over.
         self.dynamic.retain(|name, _| {
             planned
                 .get(name)
                 .is_some_and(|p| plan_is_maintained(policy, p))
         });
         self.materialized
-            .retain(|name, _| planned.get(name).is_some_and(|p| plan_is_materialized(p)));
+            .retain(|name, _| planned.get(name).is_some_and(plan_is_materialized));
         for (name, plan) in planned {
             if plan_is_maintained(policy, plan) {
-                let state = self
-                    .dynamic
-                    .entry(name.clone())
-                    .or_insert_with(|| DynAggState {
-                        cat_attrs: Vec::new(),
-                        channels: plan.channel_terms(),
-                        grids: FxHashMap::default(),
-                        partition_values: FxHashMap::default(),
-                        mirror: FxHashMap::default(),
-                    });
-                state.cat_attrs = resolve_cat_attrs(&plan.analysis, table)?;
-                let ratio = effective_rebuild_ratio(policy, plan);
-                sync_state(state, table, spatial, constants, ratio, &mut stats)?;
+                let cols = SiteColumns::of(plan, table)?;
+                let state = self.dynamic.entry(name.clone()).or_default();
+                if state.cols != cols {
+                    *state = DynAggState {
+                        cols,
+                        ..DynAggState::default()
+                    };
+                }
             }
             if plan_is_materialized(plan) {
+                let cols = SiteColumns::of(plan, table)?;
                 let state = self
                     .materialized
                     .entry(name.clone())
                     .or_insert_with(|| MatAggState {
-                        cat_attrs: Vec::new(),
-                        channels: plan.channel_terms(),
+                        cols: cols.clone(),
+                        synced: None,
                         patch: MatPatch::Replace,
                         minimize: Vec::new(),
-                        mirror: FxHashMap::default(),
                         entries: FxHashMap::default(),
                     });
-                state.cat_attrs = resolve_cat_attrs(&plan.analysis, table)?;
-                state.channels = plan.channel_terms();
+                if state.cols != cols {
+                    state.cols = cols;
+                    state.synced = None;
+                }
                 state.patch = mat_patch_of(plan);
                 state.minimize = mat_minimize_of(plan);
-                sync_mat_state(state, table, spatial, constants, &mut stats)?;
             }
         }
+
+        let cur = MirrorColumns::extract(
+            table,
+            spatial,
+            constants,
+            self.dynamic
+                .values()
+                .map(|s| &s.cols)
+                .chain(self.materialized.values().map(|s| &s.cols)),
+        )?;
+        let mut pass = self.mirror.pass(&cur);
+        let mut stats = MaintStats {
+            rows_scanned: table.len(),
+            ..MaintStats::default()
+        };
+        for (name, plan) in planned {
+            if let Some(state) = self.dynamic.get_mut(name) {
+                let ratio = effective_rebuild_ratio(policy, plan);
+                sync_grids(state, &mut pass, &cur, ratio, &mut stats)?;
+                state.synced = Some(pass.next_generation());
+            }
+            if let Some(state) = self.materialized.get_mut(name) {
+                sync_answers(state, &pass, &cur, table.len(), &mut stats)?;
+                state.synced = Some(pass.next_generation());
+            }
+        }
+        self.mirror.advance(cur);
         self.synced = true;
         self.last_maint = stats;
         Ok(stats)
@@ -637,7 +617,10 @@ impl IndexManager {
     }
 }
 
-fn resolve_cat_attrs(analysis: &FilterAnalysis, table: &EnvTable) -> Result<Vec<AttrId>> {
+pub(crate) fn resolve_cat_attrs(
+    analysis: &FilterAnalysis,
+    table: &EnvTable,
+) -> Result<Vec<AttrId>> {
     analysis
         .cat_attr_names()
         .iter()
@@ -650,98 +633,78 @@ fn resolve_cat_attrs(analysis: &FilterAnalysis, table: &EnvTable) -> Result<Vec<
         .collect()
 }
 
-/// Diff one aggregate's mirror against the environment and patch (or
-/// rebuild) its per-partition grids.
-fn sync_state(
+/// One maintained row operation on a partition, by mirror / current row.
+enum GridOp {
+    Insert(u32),
+    Remove(u32),
+    Update(u32, u32),
+}
+
+/// Bring one maintained aggregate's grids to the current columns.  A site
+/// that is new or missed a pass builds every partition from the columns;
+/// otherwise its row changes are patched in, and a partition whose delta
+/// ratio exceeds `rebuild_ratio` (or whose grid is empty) is rebuilt from
+/// the columns instead.
+fn sync_grids(
     state: &mut DynAggState,
-    table: &EnvTable,
-    spatial: SpatialAttrs,
-    constants: &FxHashMap<String, Value>,
+    pass: &mut MirrorPass<'_>,
+    cur: &MirrorColumns,
     rebuild_ratio: f64,
     stats: &mut MaintStats,
 ) -> Result<()> {
-    let schema = table.schema();
-    let channels = state.channels.len();
-    let mut new_mirror: FxHashMap<i64, (u64, Point2, Vec<f64>)> =
-        FxHashMap::with_capacity_and_hasher(table.len(), Default::default());
-    let mut deltas: FxHashMap<u64, Vec<IndexDelta>> = FxHashMap::default();
-    let mut part_sizes: FxHashMap<u64, usize> = FxHashMap::default();
-
-    // The diff scan reads every cell of every indexed attribute: pull each
-    // column once (one page walk apiece) and walk plain vectors, instead of
-    // per-row page arithmetic on every access.
-    let keys = table.column_i64(schema.key_attr())?;
-    let xs = extract_f64_column(table, spatial.x)?;
-    let ys = extract_f64_column(table, spatial.y)?;
-    let cat_cols: Vec<Vec<Value>> = state
-        .cat_attrs
-        .iter()
-        .map(|a| table.column_values(*a))
-        .collect::<std::result::Result<_, _>>()?;
-    let chan_cols: Vec<Vec<f64>> = state
-        .channels
-        .iter()
-        .map(|c| channel_column(c, table, constants))
-        .collect::<Result<_>>()?;
-
-    for row_idx in 0..table.len() {
-        let key = keys[row_idx];
-        let part = {
-            let mut h = rustc_hash::FxHasher::default();
-            for col in &cat_cols {
-                hash_value(&mut h, &col[row_idx]);
-            }
-            h.finish()
-        };
-        state
-            .partition_values
-            .entry(part)
-            .or_insert_with(|| cat_cols.iter().map(|col| col[row_idx].clone()).collect());
-        let point = Point2::new(xs[row_idx], ys[row_idx]);
-        let mut chan_values = Vec::with_capacity(channels);
-        for col in &chan_cols {
-            chan_values.push(col[row_idx]);
+    let channels = state.cols.channels.len();
+    let cur = cur.site(&state.cols)?;
+    let Some(old) = pass.prior(&state.cols, state.synced) else {
+        state.grids.clear();
+        state.partition_values.clear();
+        for (&part, rows) in pass.partitions(&state.cols, &cur) {
+            let mut grid = DynamicAggGrid::new(0.0, channels);
+            grid.rebuild_owned(rows.iter().map(|&r| cur.index_row(r)).collect());
+            state.grids.insert(part, grid);
+            state.partition_values.insert(part, cur.cat_values(rows[0]));
+            stats.partition_rebuilds += 1;
         }
-        *part_sizes.entry(part).or_insert(0) += 1;
-        let id = key as u64;
-        match state.mirror.remove(&key) {
-            None => deltas.entry(part).or_default().push(IndexDelta::Insert {
-                row: IndexRow::new(id, point, chan_values.clone()),
-            }),
-            Some((old_part, old_point, old_values)) => {
+        return Ok(());
+    };
+
+    let mut ops: FxHashMap<u64, Vec<GridOp>> = FxHashMap::default();
+    for change in pass.changes(&state.cols) {
+        let (removed, inserted) = match (change.old, change.new) {
+            (Some(o), Some(r)) => {
+                let (old_part, part) = (old.partition(o), cur.partition(r));
                 if old_part != part {
-                    deltas
-                        .entry(old_part)
-                        .or_default()
-                        .push(IndexDelta::Remove {
-                            id,
-                            point: old_point,
-                        });
-                    deltas.entry(part).or_default().push(IndexDelta::Insert {
-                        row: IndexRow::new(id, point, chan_values.clone()),
-                    });
-                } else if old_point != point || old_values != chan_values {
-                    deltas.entry(part).or_default().push(IndexDelta::Update {
-                        id,
-                        old_point,
-                        row: IndexRow::new(id, point, chan_values.clone()),
-                    });
+                    (Some((old_part, o)), Some((part, r)))
+                } else {
+                    if old.point(o) != cur.point(r) || !old.same_chans(o, &cur, r, |a, b| a == b) {
+                        ops.entry(part).or_default().push(GridOp::Update(o, r));
+                    }
+                    continue;
                 }
             }
+            (Some(o), None) => (Some((old.partition(o), o)), None),
+            (None, Some(r)) => (None, Some((cur.partition(r), r))),
+            (None, None) => continue,
+        };
+        if let Some((part, o)) = removed {
+            ops.entry(part).or_default().push(GridOp::Remove(o));
         }
-        new_mirror.insert(key, (part, point, chan_values));
+        if let Some((part, r)) = inserted {
+            state
+                .partition_values
+                .entry(part)
+                .or_insert_with(|| cur.cat_values(r));
+            ops.entry(part).or_default().push(GridOp::Insert(r));
+        }
     }
-    // Whatever is left in the old mirror vanished from the environment.
-    for (key, (part, point, _)) in state.mirror.drain() {
-        deltas.entry(part).or_default().push(IndexDelta::Remove {
-            id: key as u64,
-            point,
-        });
-    }
-    stats.rows_scanned += table.len();
 
-    for (part, part_deltas) in deltas {
-        let size = part_sizes.get(&part).copied().unwrap_or(0);
+    for (part, part_ops) in ops {
+        let (inserts, removes) = part_ops.iter().fold((0, 0), |(i, r), op| match op {
+            GridOp::Insert(_) => (i + 1, r),
+            GridOp::Remove(_) => (i, r + 1),
+            GridOp::Update(..) => (i, r),
+        });
+        let indexed = state.grids.get(&part).map_or(0, AggIndex::len);
+        let size = (indexed + inserts).saturating_sub(removes);
         if size == 0 {
             // Partition emptied out entirely.
             state.grids.remove(&part);
@@ -752,36 +715,48 @@ fn sync_state(
             .grids
             .entry(part)
             .or_insert_with(|| DynamicAggGrid::new(0.0, channels));
-        let ratio = part_deltas.len() as f64 / size as f64;
+        let ratio = part_ops.len() as f64 / size as f64;
         if AggIndex::is_empty(grid) || ratio > rebuild_ratio {
-            // Rebuild this partition from the new mirror.
-            let rows: Vec<IndexRow> = new_mirror
-                .iter()
-                .filter(|(_, (p, _, _))| *p == part)
-                .map(|(key, (_, point, values))| IndexRow::new(*key as u64, *point, values.clone()))
-                .collect();
-            grid.rebuild(&rows);
+            let rows = pass.partitions(&state.cols, &cur).get(&part);
+            grid.rebuild_owned(
+                rows.into_iter()
+                    .flatten()
+                    .map(|&r| cur.index_row(r))
+                    .collect(),
+            );
             stats.partition_rebuilds += 1;
-        } else {
-            for delta in &part_deltas {
-                grid.apply_delta(delta);
-            }
-            stats.delta_ops += part_deltas.len();
+            continue;
         }
+        for op in &part_ops {
+            grid.apply_delta(&match *op {
+                GridOp::Insert(r) => IndexDelta::Insert {
+                    row: cur.index_row(r),
+                },
+                GridOp::Remove(o) => IndexDelta::Remove {
+                    id: old.key(o) as u64,
+                    point: old.point(o),
+                },
+                GridOp::Update(o, r) => IndexDelta::Update {
+                    id: cur.key(r) as u64,
+                    old_point: old.point(o),
+                    row: cur.index_row(r),
+                },
+            });
+        }
+        stats.delta_ops += part_ops.len();
     }
-    state.mirror = new_mirror;
     Ok(())
 }
 
-/// One row's change between two materialized-mirror snapshots.
+/// One row's change as a materialized site reads it (`None` = absent).
 struct MatDelta {
     key: i64,
-    old: Option<(Vec<Value>, Point2, Vec<f64>)>,
-    new: Option<(Vec<Value>, Point2, Vec<f64>)>,
+    old: Option<RowSnap>,
+    new: Option<RowSnap>,
 }
 
 /// Is a row snapshot inside an entry's subscription scope?
-fn mat_relevant(side: Option<&(Vec<Value>, Point2, Vec<f64>)>, entry: &MatEntry) -> bool {
+fn mat_relevant(side: Option<&RowSnap>, entry: &MatEntry) -> bool {
     side.is_some_and(|(cats, point, _)| {
         partition_matches(cats, &entry.required)
             && entry.rect.as_ref().is_none_or(|r| r.contains(point))
@@ -874,8 +849,8 @@ fn mat_minmax_removal_safe(entry: &MatEntry, chans: &[f64]) -> bool {
 /// on possibly-empty answers, NaN values, and ±0 ties whose folded bits
 /// could differ from a fresh recompute.
 fn mat_minmax_insert(entry: &mut MatEntry, chans: &[f64], minimize: &[bool]) -> bool {
-    for i in 0..entry.extrema.len() {
-        let Some(e) = entry.extrema[i] else {
+    for (i, slot) in entry.extrema.iter_mut().enumerate() {
+        let Some(e) = *slot else {
             return false;
         };
         let Some(&v) = chans.get(i) else {
@@ -886,7 +861,7 @@ fn mat_minmax_insert(entry: &mut MatEntry, chans: &[f64], minimize: &[bool]) -> 
         }
         let better = if minimize[i] { v < e } else { v > e };
         if better {
-            entry.extrema[i] = Some(v);
+            *slot = Some(v);
         } else if v == e && v.to_bits() != e.to_bits() {
             return false;
         }
@@ -906,80 +881,51 @@ fn mat_minmax_insert(entry: &mut MatEntry, chans: &[f64], minimize: &[bool]) -> 
     true
 }
 
-/// Diff one materialized site's mirror against the environment and patch
-/// (or invalidate) the stored answers from the resulting delta stream.
-fn sync_mat_state(
+/// Bring one materialized site's answers to the current columns: patch (or
+/// invalidate) them from the site's row changes.  A site that is new or
+/// missed a pass cannot tell what changed under its answers and drops them.
+fn sync_answers(
     state: &mut MatAggState,
-    table: &EnvTable,
-    spatial: SpatialAttrs,
-    constants: &FxHashMap<String, Value>,
+    pass: &MirrorPass<'_>,
+    cur: &MirrorColumns,
+    rows: usize,
     stats: &mut MaintStats,
 ) -> Result<()> {
-    let schema = table.schema();
-    let keys = table.column_i64(schema.key_attr())?;
-    let xs = extract_f64_column(table, spatial.x)?;
-    let ys = extract_f64_column(table, spatial.y)?;
-    let cat_cols: Vec<Vec<Value>> = state
-        .cat_attrs
-        .iter()
-        .map(|a| table.column_values(*a))
-        .collect::<std::result::Result<_, _>>()?;
-    let chan_cols: Vec<Vec<f64>> = state
-        .channels
-        .iter()
-        .map(|c| channel_column(c, table, constants))
-        .collect::<Result<_>>()?;
-
-    let mut new_mirror: FxHashMap<i64, (Vec<Value>, Point2, Vec<f64>)> =
-        FxHashMap::with_capacity_and_hasher(table.len(), Default::default());
-    let mut deltas: Vec<MatDelta> = Vec::new();
-    for row_idx in 0..table.len() {
-        let key = keys[row_idx];
-        let cats: Vec<Value> = cat_cols.iter().map(|c| c[row_idx].clone()).collect();
-        let point = Point2::new(xs[row_idx], ys[row_idx]);
-        let chans: Vec<f64> = chan_cols.iter().map(|c| c[row_idx]).collect();
-        match state.mirror.remove(&key) {
-            None => deltas.push(MatDelta {
-                key,
-                old: None,
-                new: Some((cats.clone(), point, chans.clone())),
-            }),
-            Some(old) => {
-                let same_cats = old.0.len() == cats.len()
-                    && old.0.iter().zip(&cats).all(|(a, b)| same_value(a, b));
-                if !same_cats || old.1 != point || !bits_equal(&old.2, &chans) {
-                    deltas.push(MatDelta {
-                        key,
-                        old: Some(old),
-                        new: Some((cats.clone(), point, chans.clone())),
-                    });
-                }
-            }
-        }
-        new_mirror.insert(key, (cats, point, chans));
-    }
-    // Whatever is left in the old mirror vanished from the environment.
-    for (key, old) in state.mirror.drain() {
-        deltas.push(MatDelta {
-            key,
-            old: Some(old),
-            new: None,
-        });
-    }
-    state.mirror = new_mirror;
-    stats.rows_scanned += table.len();
-
+    let cur = cur.site(&state.cols)?;
+    let mut entry_count: usize = state.entries.values().map(Vec::len).sum();
     // Subscriptions accumulate per (subscriber, fingerprint); a subscriber
     // probing with ever-changing arguments would otherwise grow the store
     // without bound (its stale fingerprints are never served again).
-    let cap = 8 * (table.len() + 64);
-    let mut entry_count: usize = state.entries.values().map(Vec::len).sum();
-    if entry_count > cap {
+    let cap = 8 * (rows + 64);
+    let old = pass
+        .prior(&state.cols, state.synced)
+        .filter(|_| entry_count <= cap);
+    let Some(old) = old else {
         stats.mat_invalidated += entry_count;
         state.entries.clear();
         return Ok(());
+    };
+    if entry_count == 0 {
+        return Ok(());
     }
-    if deltas.is_empty() || entry_count == 0 {
+    let deltas: Vec<MatDelta> = pass
+        .changes(&state.cols)
+        .into_iter()
+        .filter(|c| match (c.old, c.new) {
+            (Some(o), Some(r)) => {
+                !old.same_cats(o, &cur, r)
+                    || old.point(o) != cur.point(r)
+                    || !old.same_chans(o, &cur, r, |a, b| a.to_bits() == b.to_bits())
+            }
+            _ => true,
+        })
+        .map(|c| MatDelta {
+            key: c.key,
+            old: c.old.map(|o| old.snap(o)),
+            new: c.new.map(|r| cur.snap(r)),
+        })
+        .collect();
+    if deltas.is_empty() {
         return Ok(());
     }
 
@@ -995,7 +941,7 @@ fn sync_mat_state(
 
     // Mass-invalidation guard: when the patch pass would cost more than the
     // recomputes it saves, drop everything and let the misses rebuild.
-    if deltas.len().saturating_mul(entry_count) > 256 * (table.len() + 64) {
+    if deltas.len().saturating_mul(entry_count) > 256 * (rows + 64) {
         stats.mat_invalidated += entry_count;
         state.entries.clear();
         return Ok(());
@@ -2399,20 +2345,20 @@ mod tests {
             );
             assert!(serves > 0, "{agg_name}: store must serve after churn");
             let def = registry.aggregate(agg_name).unwrap();
-            for row in 0..table.len() {
+            for (row, answer) in fast.iter().enumerate() {
                 let unit = table.row(row);
                 let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
                 ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
                 let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
                 match agg_name {
                     "CountEnemiesInRange" => assert_eq!(
-                        fast[row].as_scalar().unwrap(),
+                        answer.as_scalar().unwrap(),
                         slow.as_scalar().unwrap(),
                         "{agg_name} row {row}"
                     ),
                     _ => {
                         for field in ["x", "y"] {
-                            let f = fast[row].field(field).unwrap().as_f64().unwrap();
+                            let f = answer.field(field).unwrap().as_f64().unwrap();
                             let s = slow.field(field).unwrap().as_f64().unwrap();
                             assert!(
                                 (f - s).abs() < 1e-9,
@@ -2490,13 +2436,13 @@ mod tests {
         );
         assert!(serves > 0);
         let rng = GameRng::new(7).for_tick(3);
-        for row in 0..table.len() {
+        for (row, answer) in fast.iter().enumerate() {
             let unit = table.row(row);
             let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
             ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
             let slow = eval_aggregate_scan(&def, &ctx.bindings, &ctx, &table).unwrap();
             assert_eq!(
-                fast[row].field("value").unwrap().as_f64().unwrap(),
+                answer.field("value").unwrap().as_f64().unwrap(),
                 slow.field("value").unwrap().as_f64().unwrap(),
                 "row {row}"
             );
@@ -2516,13 +2462,13 @@ mod tests {
             &planned,
             &args,
         );
-        for row in 0..table.len() {
+        for (row, answer) in fast.iter().enumerate() {
             let unit = table.row(row);
             let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
             ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
             let slow = eval_aggregate_scan(&def, &ctx.bindings, &ctx, &table).unwrap();
             assert_eq!(
-                fast[row].field("value").unwrap().as_f64().unwrap(),
+                answer.field("value").unwrap().as_f64().unwrap(),
                 slow.field("value").unwrap().as_f64().unwrap(),
                 "row {row}"
             );
@@ -2586,5 +2532,227 @@ mod tests {
             &[Value::Int(0)],
             &vec![(false, Value::Int(0))]
         ));
+    }
+
+    /// Registry plans under the incremental policy with every materializable
+    /// site forced to a materialized store: maintained grids
+    /// (`getNearestEnemy`) and materialized answers (`CountEnemiesInRange`,
+    /// `CentroidOfEnemyUnits`, ...) share one mirror.
+    fn mixed_sites(table: &EnvTable) -> (ExecConfig, FxHashMap<String, PlannedAggregate>) {
+        let config =
+            ExecConfig::indexed(table.schema()).with_policy(MaintenancePolicy::Incremental);
+        let mut planned = crate::interp::plan_registry(&paper_registry(), table, &config);
+        crate::planner::force_materialized(&mut planned);
+        (config, planned)
+    }
+
+    /// The arguments every mirror test probes a registry aggregate with.
+    fn probe_args(def: &sgl_lang::builtins::AggregateDef) -> Vec<ScriptValue> {
+        if def.params.len() == 2 {
+            vec![ScriptValue::scalar(0i64), ScriptValue::scalar(15.0)]
+        } else {
+            vec![ScriptValue::scalar(0i64)]
+        }
+    }
+
+    /// Every row's answer from the named site (absorbing its materialized
+    /// writes).
+    fn site_answers(
+        manager: &mut IndexManager,
+        table: &EnvTable,
+        config: &ExecConfig,
+        planned_map: &FxHashMap<String, PlannedAggregate>,
+        name: &str,
+    ) -> Vec<ScriptValue> {
+        let registry = paper_registry();
+        let planned = planned_map.get(name).unwrap();
+        let args = probe_args(registry.aggregate(name).unwrap());
+        let constants = registry.constants().clone();
+        probe_all(
+            manager,
+            table,
+            config,
+            planned_map,
+            &constants,
+            planned,
+            &args,
+        )
+        .0
+    }
+
+    /// The named site's answers equal those of a manager built from scratch
+    /// on the same table, bit for bit.
+    fn assert_agrees_with_rebuild(
+        manager: &mut IndexManager,
+        table: &EnvTable,
+        config: &ExecConfig,
+        planned_map: &FxHashMap<String, PlannedAggregate>,
+        name: &str,
+    ) {
+        let mut fresh = IndexManager::new(config);
+        assert_eq!(
+            site_answers(manager, table, config, planned_map, name),
+            site_answers(&mut fresh, table, config, planned_map, name),
+            "{name}"
+        );
+    }
+
+    /// Probe every row through the named site and compare each answer with
+    /// a scan of the table.
+    fn assert_agrees_with_scans(
+        manager: &mut IndexManager,
+        table: &EnvTable,
+        config: &ExecConfig,
+        planned_map: &FxHashMap<String, PlannedAggregate>,
+        name: &str,
+    ) {
+        let fast = site_answers(manager, table, config, planned_map, name);
+        let registry = paper_registry();
+        let constants = registry.constants().clone();
+        let def = registry.aggregate(name).unwrap();
+        let args = probe_args(def);
+        let spatial = config.spatial.unwrap();
+        let rng = GameRng::new(7).for_tick(3);
+        for (row, answer) in fast.iter().enumerate() {
+            let unit = table.row(row);
+            let mut ctx = EvalContext::new(table.schema(), unit, &rng, &constants);
+            ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
+            let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, table).unwrap();
+            if name == "getNearestEnemy" {
+                // Ties may pick different keys; distances must agree.
+                let dist = |answer: &ScriptValue| {
+                    let key = answer.field("key").unwrap().as_i64().unwrap();
+                    let hit = table.row(table.find_key_readonly(key).unwrap());
+                    let dx = hit.get_f64(spatial.x).unwrap() - unit.get_f64(spatial.x).unwrap();
+                    let dy = hit.get_f64(spatial.y).unwrap() - unit.get_f64(spatial.y).unwrap();
+                    dx * dx + dy * dy
+                };
+                assert_eq!(dist(answer), dist(&slow), "{name} row {row}");
+                continue;
+            }
+            let (ScriptValue::Record(f), ScriptValue::Record(s)) = (answer, &slow) else {
+                panic!("{name} row {row}: record answers expected");
+            };
+            assert_eq!(f.len(), s.len());
+            for ((field, a), (_, b)) in f.iter().zip(s) {
+                let (a, b) = (a.as_f64().unwrap(), b.as_f64().unwrap());
+                assert!((a - b).abs() < 1e-9, "{name} row {row} {field}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_mirror_key_join_patches_inserted_and_removed_rows() {
+        let (schema, mut table) = make_table(80);
+        let constants = paper_registry().constants().clone();
+        let (config, planned_map) = mixed_sites(&table);
+        let mut manager = IndexManager::new(&config);
+        for name in ["CountEnemiesInRange", "getNearestEnemy"] {
+            assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+        }
+        assert!(manager.maintained_aggregates() > 0);
+        let entries = manager.materialized_entries();
+        assert!(entries > 0);
+
+        // Out-of-band edits that change the key column: one unit leaves, one
+        // arrives.
+        let key = schema.key_attr();
+        assert_eq!(
+            table
+                .remove_where(|r| r.get_i64(key).unwrap() == 5)
+                .unwrap(),
+            1
+        );
+        let spawned = TupleBuilder::new(&schema)
+            .set("key", 500i64)
+            .unwrap()
+            .set("player", 1i64)
+            .unwrap()
+            .set("posx", 30.0)
+            .unwrap()
+            .set("posy", 31.0)
+            .unwrap()
+            .set("health", 9i64)
+            .unwrap()
+            .build();
+        table.insert(spawned).unwrap();
+        let stats = manager.end_tick(&table, &planned_map, &constants).unwrap();
+        assert_eq!(stats.rows_scanned, table.len(), "one diff per pass");
+        assert_eq!(stats.partition_rebuilds, 0, "the key join patches");
+        assert!(stats.delta_ops >= 2);
+        assert!(manager.materialized_entries() > 0);
+        for name in ["CountEnemiesInRange", "getNearestEnemy"] {
+            assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+        }
+    }
+
+    #[test]
+    fn a_site_added_mid_run_builds_from_new_mirror_columns() {
+        let (schema, mut table) = make_table(70);
+        let constants = paper_registry().constants().clone();
+        let (config, all) = mixed_sites(&table);
+        let mut planned_map: FxHashMap<String, PlannedAggregate> = all
+            .iter()
+            .filter(|(name, _)| ["CountEnemiesInRange", "getNearestEnemy"].contains(&name.as_str()))
+            .map(|(name, plan)| (name.clone(), plan.clone()))
+            .collect();
+        let mut manager = IndexManager::new(&config);
+        for name in ["CountEnemiesInRange", "getNearestEnemy"] {
+            assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+        }
+
+        // A maintained centroid grid joins: its channel columns are new to
+        // the mirror, so it builds from scratch while the others diff.
+        let mut centroid = all.get("CentroidOfEnemyUnits").unwrap().clone();
+        centroid.choice = None;
+        planned_map.insert(centroid.def.name.clone(), centroid);
+        let posx = schema.attr_id("posx").unwrap();
+        for row in 0..4 {
+            let x = table.row(row).get_f64(posx).unwrap();
+            table.set_attr(row, posx, Value::Float(x + 1.5)).unwrap();
+        }
+        manager.mark_stale();
+        let stats = manager.end_tick(&table, &planned_map, &constants).unwrap();
+        assert_eq!(stats.rows_scanned, table.len());
+        assert_eq!(
+            stats.partition_rebuilds, 2,
+            "one build per player partition"
+        );
+        assert!(stats.delta_ops > 0, "the nearest-enemy grid patches");
+        for name in [
+            "CountEnemiesInRange",
+            "getNearestEnemy",
+            "CentroidOfEnemyUnits",
+        ] {
+            assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+        }
+    }
+
+    #[test]
+    fn nan_positions_count_as_changed_on_every_pass() {
+        let (schema, mut table) = make_table(50);
+        let constants = paper_registry().constants().clone();
+        let (config, planned_map) = mixed_sites(&table);
+        let mut manager = IndexManager::new(&config);
+        for name in ["CountEnemiesInRange", "getNearestEnemy"] {
+            assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+        }
+        let posx = schema.attr_id("posx").unwrap();
+        table.set_attr(4, posx, Value::Float(f64::NAN)).unwrap();
+        let first = manager.end_tick(&table, &planned_map, &constants).unwrap();
+        assert!(first.delta_ops > 0);
+        // Nothing changed since, but NaN never equals itself: every grid
+        // re-sends the row.
+        let second = manager.end_tick(&table, &planned_map, &constants).unwrap();
+        assert_eq!(second.delta_ops, first.delta_ops);
+        // Scans and indexes disagree on whether a NaN position lies in a
+        // rectangle, so the reference here is a from-scratch build.
+        for name in [
+            "CountEnemiesInRange",
+            "getNearestEnemy",
+            "CentroidOfEnemyUnits",
+        ] {
+            assert_agrees_with_rebuild(&mut manager, &table, &config, &planned_map, name);
+        }
     }
 }

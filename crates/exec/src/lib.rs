@@ -24,6 +24,7 @@ pub mod error;
 pub mod filter;
 pub mod indexes;
 pub mod interp;
+pub(crate) mod mirror;
 pub mod oracle;
 pub mod planner;
 pub mod stats;

@@ -7,6 +7,12 @@
 use crate::{Point2, Rect};
 
 /// A uniform grid over a rectangular world, bucketing point ids by cell.
+///
+/// Bucket memory is bounded by the point count, never by the world area:
+/// when the requested cell would need more than [`MAX_CELLS_PER_POINT`]
+/// cells per point (and more than [`MIN_CELL_BUDGET`] cells), the cell side
+/// doubles until it fits.  Queries filter by the exact rectangle, so the
+/// cell side never changes an answer.
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
     origin_x: f64,
@@ -14,14 +20,22 @@ pub struct UniformGrid {
     cell: f64,
     cols: usize,
     rows: usize,
-    buckets: Vec<Vec<u32>>,
+    /// Point ids grouped by cell: cell `b` holds `ids[starts[b]..starts[b + 1]]`.
+    starts: Vec<u32>,
+    ids: Vec<u32>,
     points: Vec<Point2>,
 }
 
+/// Most cells a grid allocates per indexed point.
+pub const MAX_CELLS_PER_POINT: usize = 4;
+
+/// Cells a grid may always allocate, however few points it holds.
+pub const MIN_CELL_BUDGET: usize = 1024;
+
 impl UniformGrid {
-    /// Build a grid with cells of size `cell` covering the bounding box of
-    /// the points (plus the world extent provided, so empty areas still map
-    /// to valid cells).
+    /// Build a grid with cells of size `cell` (or coarser, see the type
+    /// docs) covering the world extent provided; points outside it are
+    /// clamped into the border cells.
     pub fn build(
         points: &[Point2],
         world_min: Point2,
@@ -29,23 +43,49 @@ impl UniformGrid {
         cell: f64,
     ) -> UniformGrid {
         assert!(cell > 0.0, "cell size must be positive");
-        let width = (world_max.x - world_min.x).max(cell);
-        let height = (world_max.y - world_min.y).max(cell);
-        let cols = (width / cell).ceil() as usize + 1;
-        let rows = (height / cell).ceil() as usize + 1;
+        let budget = (MAX_CELLS_PER_POINT * points.len()).max(MIN_CELL_BUDGET);
+        let mut cell = cell;
+        let (cols, rows) = loop {
+            let span = |extent: f64| ((extent.max(cell) / cell).ceil() as usize).saturating_add(1);
+            let dims = (
+                span(world_max.x - world_min.x),
+                span(world_max.y - world_min.y),
+            );
+            if dims.0.saturating_mul(dims.1) <= budget {
+                break dims;
+            }
+            cell *= 2.0;
+        };
         let mut grid = UniformGrid {
             origin_x: world_min.x,
             origin_y: world_min.y,
             cell,
             cols,
             rows,
-            buckets: vec![Vec::new(); cols * rows],
+            starts: Vec::new(),
+            ids: Vec::new(),
             points: points.to_vec(),
         };
-        for (i, p) in points.iter().enumerate() {
-            let b = grid.bucket_of(p);
-            grid.buckets[b].push(i as u32);
+        // Counting sort of the point ids by cell (stable: ids ascend within
+        // a cell).
+        let cells: Vec<usize> = points.iter().map(|p| grid.bucket_of(p)).collect();
+        let mut starts = vec![0u32; cols * rows + 1];
+        for &b in &cells {
+            starts[b + 1] += 1;
         }
+        let mut running = 0;
+        for start in &mut starts {
+            running += *start;
+            *start = running;
+        }
+        let mut next = starts.clone();
+        let mut ids = vec![0u32; points.len()];
+        for (id, &b) in cells.iter().enumerate() {
+            ids[next[b] as usize] = id as u32;
+            next[b] += 1;
+        }
+        grid.starts = starts;
+        grid.ids = ids;
         grid
     }
 
@@ -76,6 +116,12 @@ impl UniformGrid {
         self.clamp_row(p.y) * self.cols + self.clamp_col(p.x)
     }
 
+    /// Ids of the points in one cell.
+    fn bucket(&self, row: usize, col: usize) -> &[u32] {
+        let b = row * self.cols + col;
+        &self.ids[self.starts[b] as usize..self.starts[b + 1] as usize]
+    }
+
     /// Ids of all points inside the rectangle (inclusive bounds).
     pub fn query(&self, rect: &Rect) -> Vec<u32> {
         let mut out = Vec::new();
@@ -95,7 +141,7 @@ impl UniformGrid {
         let r1 = self.clamp_row(rect.y_max);
         for row in r0..=r1 {
             for col in c0..=c1 {
-                for id in &self.buckets[row * self.cols + col] {
+                for id in self.bucket(row, col) {
                     if rect.contains(&self.points[*id as usize]) {
                         out.push(*id);
                     }
@@ -121,7 +167,7 @@ impl UniformGrid {
         let r2 = radius * radius;
         for row in r0..=r1 {
             for col in c0..=c1 {
-                for id in &self.buckets[row * self.cols + col] {
+                for id in self.bucket(row, col) {
                     if Some(*id) == exclude {
                         continue;
                     }
@@ -230,6 +276,29 @@ mod tests {
         let grid = world_grid(&[], 10.0);
         let (cols, rows) = grid.dims();
         assert!(cols >= 10 && rows >= 10);
+    }
+
+    #[test]
+    fn huge_worlds_keep_bucket_memory_proportional_to_points() {
+        let points = random_points(50, 5, 1e6);
+        let grid = UniformGrid::build(&points, Point2::new(0.0, 0.0), Point2::new(1e6, 1e6), 2.8);
+        let (cols, rows) = grid.dims();
+        assert!(cols * rows <= MIN_CELL_BUDGET.max(MAX_CELLS_PER_POINT * 50));
+        // The coarser cell changes no answer.
+        let mut state = 41u64;
+        for _ in 0..50 {
+            let rect = Rect::centered(
+                lcg(&mut state) * 1e6,
+                lcg(&mut state) * 1e6,
+                lcg(&mut state) * 2e5,
+            );
+            let mut fast = grid.query(&rect);
+            fast.sort_unstable();
+            let slow: Vec<u32> = (0..points.len() as u32)
+                .filter(|&i| rect.contains(&points[i as usize]))
+                .collect();
+            assert_eq!(fast, slow);
+        }
     }
 }
 
@@ -473,18 +542,10 @@ impl DynamicAggGrid {
             }
         });
     }
-}
 
-impl AggIndex for DynamicAggGrid {
-    fn channels(&self) -> usize {
-        self.channels
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn rebuild(&mut self, rows: &[IndexRow]) {
+    /// Rebuild from owned rows (the allocation-free form of
+    /// [`AggIndex::rebuild`] for callers that assemble the rows anyway).
+    pub fn rebuild_owned(&mut self, rows: Vec<IndexRow>) {
         self.cells.clear();
         self.rows.clear();
         self.cell_bounds = None;
@@ -495,7 +556,7 @@ impl AggIndex for DynamicAggGrid {
             // bounding-box side over sqrt(n).
             let mut lo = Point2::new(f64::INFINITY, f64::INFINITY);
             let mut hi = Point2::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-            for r in rows {
+            for r in &rows {
                 lo.x = lo.x.min(r.point.x);
                 lo.y = lo.y.min(r.point.y);
                 hi.x = hi.x.max(r.point.x);
@@ -515,8 +576,22 @@ impl AggIndex for DynamicAggGrid {
             };
         }
         for row in rows {
-            self.insert_row(row.clone());
+            self.insert_row(row);
         }
+    }
+}
+
+impl AggIndex for DynamicAggGrid {
+    fn channels(&self) -> usize {
+        self.channels
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn rebuild(&mut self, rows: &[IndexRow]) {
+        self.rebuild_owned(rows.to_vec());
     }
 
     fn probe_rect(&self, rect: &Rect) -> DivAcc {
