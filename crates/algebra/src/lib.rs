@@ -17,8 +17,8 @@
 //!   quadtree / maintained-grid / sweep / kD alternatives per aggregate call
 //!   site from runtime statistics.
 //!
-//! The physical counterpart (per-aggregate index selection and set-at-a-time
-//! evaluation) lives in `sgl-exec`.
+//! The physical counterpart (per-aggregate index selection, bytecode
+//! lowering and evaluation) lives in `sgl-exec`.
 
 #![warn(missing_docs)]
 

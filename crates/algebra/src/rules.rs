@@ -312,8 +312,8 @@ fn branches_partition(inputs: &[LogicalPlan]) -> bool {
 /// current tick.  It is redundant when (i) the branches below it partition
 /// `E` with complementary selections, and (ii) every action applied in the
 /// plan also writes onto the acting unit itself.  When the structural proof
-/// does not go through the node is kept (it is a no-op for the executors,
-/// which always start from the full environment).
+/// does not go through the node is kept (it is a no-op for execution, which
+/// always starts from the full environment).
 pub fn eliminate_env_combine(plan: LogicalPlan, registry: &Registry) -> LogicalPlan {
     match plan {
         LogicalPlan::CombineWithEnv { input } => {

@@ -21,8 +21,9 @@ use crate::plan::LogicalPlan;
 
 /// Translate a normalised script into a logical plan for one tick.
 ///
-/// The returned plan computes `main⊕(E) ⊕ E` (Eq. (6)); the executors
-/// interpret it set-at-a-time.
+/// The returned plan computes `main⊕(E) ⊕ E` (Eq. (6)).  It is the
+/// optimizer's input and the shape `explain` renders; execution runs the
+/// same normal form lowered to bytecode (`sgl-exec`).
 pub fn translate(script: &NormalScript) -> LogicalPlan {
     let body = translate_action(&script.body, LogicalPlan::Scan);
     LogicalPlan::CombineWithEnv {

@@ -221,11 +221,13 @@ impl BattleMeasurement {
     }
 }
 
-/// Run and time a battle with the given parameters.
+/// Run and time a battle with the given parameters under the executor
+/// configuration `config_for` builds for the scenario's schema (e.g.
+/// `ExecConfig::naive` or `ExecConfig::cost_based`).
 pub fn run_battle(
     units: usize,
     density: f64,
-    mode: ExecMode,
+    config_for: impl Fn(&Schema) -> ExecConfig,
     ticks: usize,
     seed: u64,
 ) -> BattleMeasurement {
@@ -236,14 +238,15 @@ pub fn run_battle(
         ..ScenarioConfig::default()
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(mode);
+    let exec = config_for(&scenario.schema);
+    let mut sim = scenario.build_with_config(exec);
     let start = Instant::now();
     let summary = sim.run(ticks).expect("battle ticks succeed");
     let elapsed = start.elapsed();
     BattleMeasurement {
         units,
         density,
-        mode,
+        mode: exec.mode,
         ticks,
         elapsed,
         summary,
@@ -299,7 +302,7 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        for mode in [ExecMode::Naive, ExecMode::Indexed] {
+        for mode in [ExecMode::Naive, ExecMode::Compiled] {
             let mut sim = scenario.build_simulation(mode);
             let summary = sim.run(10).unwrap();
             assert_eq!(summary.ticks, 10);
@@ -320,7 +323,7 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        let mut sim = scenario.build_simulation(ExecMode::Indexed);
+        let mut sim = scenario.build_simulation(ExecMode::Compiled);
         let summary = sim.run(3).unwrap();
         assert_eq!(
             summary.exec.naive_scans, 0,
@@ -331,7 +334,7 @@ mod tests {
 
     #[test]
     fn measurements_expose_figure10_metrics() {
-        let m = run_battle(40, 0.02, ExecMode::Indexed, 3, 7);
+        let m = run_battle(40, 0.02, ExecConfig::cost_based, 3, 7);
         assert_eq!(m.units, 40);
         assert!(m.seconds_per_tick() > 0.0);
         assert!(m.seconds_per_500_ticks() > m.seconds_per_tick());

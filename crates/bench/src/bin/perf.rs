@@ -1,15 +1,13 @@
 //! Deterministic perf runner behind the CI perf job.
 //!
 //! Runs the engine-level perf suite (fixed seeds, wall-clock per-phase
-//! timings via the engine's `PhaseTimings` — no criterion sampling), writes
+//! timings via the engine's `PhaseTimings`), writes
 //! the machine-readable summary as `BENCH_10.json`, and fails with exit
 //! code 1 if any gate fires:
 //!
 //! * a baseline was given and a tracked scenario's anchor-relative
 //!   throughput regressed more than the tolerance (default 25 %);
-//! * any `compiled_*` scenario failed to beat its `indexed_*` interpreter
-//!   twin by `--min-compiled-speedup` (default 1.0 — never slower);
-//! * a low-churn `materialized_*` scenario failed to beat its `indexed_*`
+//! * a low-churn `materialized_*` scenario failed to beat its `compiled_*`
 //!   incremental twin by `--min-materialized-speedup` (default 1.1);
 //! * a tracked scenario's memory footprint (bytes/row or peak resident
 //!   pages) grew more than `--max-footprint-regression` (default 25 %)
@@ -17,23 +15,21 @@
 //!
 //! ```text
 //! perf [--out PATH] [--baseline PATH] [--max-regression FRACTION]
-//!      [--min-compiled-speedup RATIO] [--min-materialized-speedup RATIO]
+//!      [--min-materialized-speedup RATIO]
 //!      [--max-footprint-regression FRACTION] [--calibrate]
 //! ```
 
 use std::process::ExitCode;
 
 use sgl_bench::{
-    calibrate_cost_constants, compare_memory, compare_reports, compiled_gate, compiled_speedups,
-    constants_summary, materialized_gate, materialized_speedups, parse_report, report_to_json,
-    run_perf_suite,
+    calibrate_cost_constants, compare_memory, compare_reports, constants_summary,
+    materialized_gate, materialized_speedups, parse_report, report_to_json, run_perf_suite,
 };
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_10.json");
     let mut baseline_path: Option<String> = None;
     let mut max_regression = 0.25f64;
-    let mut min_compiled_speedup = 1.0f64;
     let mut min_materialized_speedup = 1.1f64;
     let mut max_footprint_regression = 0.25f64;
     let mut calibrate = false;
@@ -49,13 +45,6 @@ fn main() -> ExitCode {
                     .expect("--max-regression needs a fraction")
                     .parse()
                     .expect("--max-regression must be a number in (0, 1)");
-            }
-            "--min-compiled-speedup" => {
-                min_compiled_speedup = args
-                    .next()
-                    .expect("--min-compiled-speedup needs a ratio")
-                    .parse()
-                    .expect("--min-compiled-speedup must be a positive number");
             }
             "--min-materialized-speedup" => {
                 min_materialized_speedup = args
@@ -76,8 +65,7 @@ fn main() -> ExitCode {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: perf [--out PATH] [--baseline PATH] \
-                     [--max-regression FRACTION] [--min-compiled-speedup RATIO] \
-                     [--min-materialized-speedup RATIO] \
+                     [--max-regression FRACTION] [--min-materialized-speedup RATIO] \
                      [--max-footprint-regression FRACTION] [--calibrate]"
                 );
                 return ExitCode::FAILURE;
@@ -119,19 +107,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {out_path}");
-
-    for (suffix, ratio) in compiled_speedups(&report) {
-        eprintln!("  compiled vs interpreter ({suffix}): {ratio:.2}×");
-    }
-    let compiled_violations = compiled_gate(&report, min_compiled_speedup);
-    if !compiled_violations.is_empty() {
-        eprintln!("compiled gate FAILED:");
-        for v in &compiled_violations {
-            eprintln!("  {v}");
-        }
-        return ExitCode::FAILURE;
-    }
-    eprintln!("compiled gate passed: every compiled scenario ≥ {min_compiled_speedup:.2}× its interpreter twin");
 
     for (suffix, ratio) in materialized_speedups(&report) {
         eprintln!("  materialized vs incremental ({suffix}): {ratio:.2}×");

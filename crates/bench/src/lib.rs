@@ -1,11 +1,11 @@
-//! Shared helpers for the benchmark harness (see `benches/`), plus the
-//! deterministic perf suite behind the CI perf job.
+//! The deterministic perf suite behind the CI perf job, and the cost-model
+//! calibration of the index structures.
 //!
 //! Three pieces:
 //!
 //! * [`run_perf_suite`] — engine-level scenarios at fixed seeds, timed with
-//!   the engine's own [`PhaseTimings`] (wall clock per phase, no criterion
-//!   sampling) and summarised per scenario as
+//!   the engine's own [`PhaseTimings`] (wall clock per phase) and
+//!   summarised per scenario as
 //!   `{ticks/sec, per-phase µs, chosen backends}` — the one machine-readable
 //!   format the CI perf gate and the committed `BENCH_*.json` trajectory
 //!   share;
@@ -25,7 +25,7 @@ use std::time::Instant;
 use sgl_battle::{BattleScenario, ScenarioConfig};
 use sgl_core::algebra::cost::CostConstants;
 use sgl_core::engine::{PhaseTimings, Simulation};
-use sgl_core::exec::{ExecConfig, ExecMode, PlannerMode};
+use sgl_core::exec::{ExecConfig, PlannerMode};
 use sgl_index::agg_tree::{AggEntry, LayeredAggTree};
 use sgl_index::grid::DynamicAggGrid;
 use sgl_index::kdtree::KdTree;
@@ -269,14 +269,12 @@ fn build_sentry(scenario: &BattleScenario, exec: ExecConfig) -> Simulation {
     .expect("sentry script compiles")
 }
 
-/// The fixed scenario list: one naive anchor, the three plan-interpreter
-/// configurations the gate has tracked since PR 4 (pinned to
-/// [`ExecMode::Indexed`] — the presets consult `SGL_EXEC_MODE`, and perf
-/// numbers must not depend on an environment knob), and a register-bytecode
-/// twin for each so every report carries both sides of the compiled-vs-
-/// interpreter comparison.  Everything is seeded; the simulated battles are
-/// bit-reproducible, only the wall clock varies.
+/// The fixed scenario list: one naive anchor, the tracked bytecode-VM
+/// configurations, and a materialized-answer twin for three of them.
+/// Everything is seeded; the simulated battles are bit-reproducible, only
+/// the wall clock varies.
 fn scenario_specs() -> Vec<ScenarioSpec> {
+    use sgl_core::exec::MaintenancePolicy::Incremental;
     vec![
         ScenarioSpec {
             name: ANCHOR_SCENARIO,
@@ -288,48 +286,13 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             config: |s| ExecConfig::naive(&s.schema),
         },
         ScenarioSpec {
-            name: "indexed_rebuild_400",
-            units: 400,
-            density: 0.01,
-            ticks: 25,
-            tracked: true,
-            roster: ScriptRoster::BattleDefault,
-            config: |s| ExecConfig::indexed(&s.schema).with_mode(ExecMode::Indexed),
-        },
-        ScenarioSpec {
-            name: "indexed_incremental_400",
-            units: 400,
-            density: 0.01,
-            ticks: 25,
-            tracked: true,
-            roster: ScriptRoster::BattleDefault,
-            config: |s| {
-                ExecConfig::indexed(&s.schema)
-                    .with_mode(ExecMode::Indexed)
-                    .with_policy(sgl_core::exec::MaintenancePolicy::Incremental)
-            },
-        },
-        ScenarioSpec {
-            name: "indexed_costbased_400",
-            units: 400,
-            density: 0.01,
-            ticks: 25,
-            tracked: true,
-            roster: ScriptRoster::BattleDefault,
-            config: |s| {
-                ExecConfig::cost_based(&s.schema)
-                    .with_mode(ExecMode::Indexed)
-                    .with_planner(PlannerMode::cost_based(4))
-            },
-        },
-        ScenarioSpec {
             name: "compiled_rebuild_400",
             units: 400,
             density: 0.01,
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::BattleDefault,
-            config: |s| ExecConfig::indexed(&s.schema).with_mode(ExecMode::Compiled),
+            config: |s| ExecConfig::indexed(&s.schema),
         },
         ScenarioSpec {
             name: "compiled_incremental_400",
@@ -338,24 +301,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::BattleDefault,
-            config: |s| {
-                ExecConfig::indexed(&s.schema)
-                    .with_mode(ExecMode::Compiled)
-                    .with_policy(sgl_core::exec::MaintenancePolicy::Incremental)
-            },
-        },
-        ScenarioSpec {
-            name: "indexed_sparse_800",
-            units: 800,
-            density: 0.0005,
-            ticks: 25,
-            tracked: true,
-            roster: ScriptRoster::BattleDefault,
-            config: |s| {
-                ExecConfig::indexed(&s.schema)
-                    .with_mode(ExecMode::Indexed)
-                    .with_policy(sgl_core::exec::MaintenancePolicy::Incremental)
-            },
+            config: |s| ExecConfig::indexed(&s.schema).with_policy(Incremental),
         },
         ScenarioSpec {
             name: "compiled_sparse_800",
@@ -364,24 +310,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::BattleDefault,
-            config: |s| {
-                ExecConfig::indexed(&s.schema)
-                    .with_mode(ExecMode::Compiled)
-                    .with_policy(sgl_core::exec::MaintenancePolicy::Incremental)
-            },
-        },
-        ScenarioSpec {
-            name: "indexed_steering_600",
-            units: 600,
-            density: 0.01,
-            ticks: 25,
-            tracked: true,
-            roster: ScriptRoster::Steering,
-            config: |s| {
-                ExecConfig::indexed(&s.schema)
-                    .with_mode(ExecMode::Indexed)
-                    .with_policy(sgl_core::exec::MaintenancePolicy::Incremental)
-            },
+            config: |s| ExecConfig::indexed(&s.schema).with_policy(Incremental),
         },
         ScenarioSpec {
             name: "compiled_steering_600",
@@ -390,11 +319,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::Steering,
-            config: |s| {
-                ExecConfig::indexed(&s.schema)
-                    .with_mode(ExecMode::Compiled)
-                    .with_policy(sgl_core::exec::MaintenancePolicy::Incremental)
-            },
+            config: |s| ExecConfig::indexed(&s.schema).with_policy(Incremental),
         },
         ScenarioSpec {
             name: "compiled_costbased_400",
@@ -403,11 +328,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::BattleDefault,
-            config: |s| {
-                ExecConfig::cost_based(&s.schema)
-                    .with_mode(ExecMode::Compiled)
-                    .with_planner(PlannerMode::cost_based(4))
-            },
+            config: |s| ExecConfig::cost_based(&s.schema).with_planner(PlannerMode::cost_based(4)),
         },
         // Materialized-answer twins: the same worlds as the incremental
         // scenarios above, but every legal call site holds its folded
@@ -424,9 +345,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             tracked: true,
             roster: ScriptRoster::BattleDefault,
             config: |s| {
-                ExecConfig::cost_based(&s.schema)
-                    .with_mode(ExecMode::Indexed)
-                    .with_planner(PlannerMode::ForceMaterialized)
+                ExecConfig::cost_based(&s.schema).with_planner(PlannerMode::ForceMaterialized)
             },
         },
         ScenarioSpec {
@@ -437,9 +356,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             tracked: true,
             roster: ScriptRoster::BattleDefault,
             config: |s| {
-                ExecConfig::cost_based(&s.schema)
-                    .with_mode(ExecMode::Indexed)
-                    .with_planner(PlannerMode::ForceMaterialized)
+                ExecConfig::cost_based(&s.schema).with_planner(PlannerMode::ForceMaterialized)
             },
         },
         // The low-churn pair the materialized gate enforces: a stationary
@@ -448,17 +365,13 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
         // serves O(1) folded answers while the incremental side re-probes
         // its maintained structures for every call.
         ScenarioSpec {
-            name: "indexed_calm_1600",
+            name: "compiled_calm_1600",
             units: 1600,
             density: 0.0005,
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::Sentry,
-            config: |s| {
-                ExecConfig::indexed(&s.schema)
-                    .with_mode(ExecMode::Indexed)
-                    .with_policy(sgl_core::exec::MaintenancePolicy::Incremental)
-            },
+            config: |s| ExecConfig::indexed(&s.schema).with_policy(Incremental),
         },
         ScenarioSpec {
             name: "materialized_calm_1600",
@@ -468,55 +381,13 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             tracked: true,
             roster: ScriptRoster::Sentry,
             config: |s| {
-                ExecConfig::cost_based(&s.schema)
-                    .with_mode(ExecMode::Indexed)
-                    .with_planner(PlannerMode::ForceMaterialized)
+                ExecConfig::cost_based(&s.schema).with_planner(PlannerMode::ForceMaterialized)
             },
         },
     ]
 }
 
-/// Pair each `compiled_*` scenario with its `indexed_*` interpreter twin and
-/// return `(pair suffix, compiled ticks/sec ÷ interpreter ticks/sec)`.
-/// Wall clock cancels inside a pair — both sides ran in the same process —
-/// so the ratios transfer between machines the way `relative` does.
-pub fn compiled_speedups(report: &PerfReport) -> Vec<(String, f64)> {
-    report
-        .scenarios
-        .iter()
-        .filter_map(|(name, compiled)| {
-            let suffix = name.strip_prefix("compiled_")?;
-            let interp = report.scenarios.get(&format!("indexed_{suffix}"))?;
-            Some((
-                suffix.to_string(),
-                compiled.ticks_per_sec / interp.ticks_per_sec.max(1e-9),
-            ))
-        })
-        .collect()
-}
-
-/// Gate: every compiled scenario must beat its interpreter twin by at least
-/// `min_speedup` (1.0 = "never slower").  Returns violations (empty = pass).
-/// A report with no compiled/interpreter pairs fails — the comparison must
-/// not silently disappear from the suite.
-pub fn compiled_gate(report: &PerfReport, min_speedup: f64) -> Vec<String> {
-    let speedups = compiled_speedups(report);
-    if speedups.is_empty() {
-        return vec!["no compiled/interpreter scenario pairs in the report".into()];
-    }
-    speedups
-        .into_iter()
-        .filter(|(_, ratio)| *ratio < min_speedup)
-        .map(|(suffix, ratio)| {
-            format!(
-                "`compiled_{suffix}` ran at {ratio:.2}× its interpreter twin \
-                 `indexed_{suffix}` (gate requires ≥ {min_speedup:.2}×)"
-            )
-        })
-        .collect()
-}
-
-/// Pair each `materialized_*` scenario with its `indexed_*` incremental
+/// Pair each `materialized_*` scenario with its `compiled_*` incremental
 /// twin and return `(pair suffix, materialized ticks/sec ÷ incremental
 /// ticks/sec)`.  Both sides of a pair run in the same process, so wall
 /// clock cancels.
@@ -526,8 +397,8 @@ pub fn materialized_speedups(report: &PerfReport) -> Vec<(String, f64)> {
         .iter()
         .filter_map(|(name, mat)| {
             let suffix = name.strip_prefix("materialized_")?;
-            let interp = report.scenarios.get(&format!("indexed_{suffix}"))?;
-            Some((suffix.to_string(), mat.ticks_per_sec / interp.ticks_per_sec))
+            let twin = report.scenarios.get(&format!("compiled_{suffix}"))?;
+            Some((suffix.to_string(), mat.ticks_per_sec / twin.ticks_per_sec))
         })
         .collect()
 }

@@ -7,6 +7,7 @@
 //! ```text
 //! SGL source ──parse──▶ AST ──normalize──▶ normal form ──check──▶
 //!   ──translate──▶ logical plan ──optimize──▶ optimized plan ──▶ Simulation
+//!                                   normal form ──lower──▶ bytecode ──▶ VM
 //! ```
 //!
 //! The [`compile_script`] function performs the full front-end pipeline; the
@@ -18,6 +19,7 @@
 use std::sync::Arc;
 
 use sgl_algebra::{optimize_with, Optimized, OptimizerOptions};
+use sgl_engine::error::EngineError;
 use sgl_engine::{Mechanics, Simulation, UnitSelector};
 use sgl_env::{EnvTable, Schema};
 use sgl_exec::ExecConfig;
@@ -39,9 +41,9 @@ pub struct CompiledScript {
     pub name: String,
     /// Result of the optimizer (plan + before/after statistics).
     pub optimized: Optimized,
-    /// The normalized script the plan was translated from — kept so the
-    /// simulation can also run it under the differential
-    /// `sgl_exec::ExecMode::Oracle` (tree-walking reference interpreter).
+    /// The normalized script the plan was translated from — the simulation
+    /// lowers it to bytecode and interprets it under the differential
+    /// `sgl_exec::ExecMode::Oracle`.
     pub normal: sgl_lang::normalize::NormalScript,
     /// Type-check report (aggregate call sites, performs, nesting depth).
     pub check: CheckReport,
@@ -59,12 +61,16 @@ impl CompiledScript {
 pub enum CompileError {
     /// Front-end error (lexing, parsing, normalisation, type checking).
     Lang(LangError),
+    /// The simulation rejected a script, e.g. because it does not lower to
+    /// bytecode ([`EngineError::Compile`]).
+    Engine(EngineError),
 }
 
 impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CompileError::Lang(e) => write!(f, "{e}"),
+            CompileError::Engine(e) => write!(f, "{e}"),
         }
     }
 }
@@ -74,6 +80,12 @@ impl std::error::Error for CompileError {}
 impl From<LangError> for CompileError {
     fn from(e: LangError) -> Self {
         CompileError::Lang(e)
+    }
+}
+
+impl From<EngineError> for CompileError {
+    fn from(e: EngineError) -> Self {
+        CompileError::Engine(e)
     }
 }
 
@@ -172,14 +184,7 @@ impl GameBuilder {
         }
         let mut sim = Simulation::new(table, self.registry, self.mechanics, self.exec, self.seed);
         for (script, selector) in compiled {
-            // Keep the normalized AST alongside the plan so the simulation
-            // can switch into the differential oracle mode.
-            sim.add_script_with_source(
-                script.name.clone(),
-                script.optimized.plan,
-                script.normal,
-                selector,
-            );
+            sim.add_script(script.name, script.optimized.plan, script.normal, selector)?;
         }
         Ok(sim)
     }

@@ -69,6 +69,13 @@ pub mod error {
         Env(sgl_env::EnvError),
         /// Configuration problem.
         Config(String),
+        /// A registered script could not be lowered to bytecode.
+        Compile {
+            /// The script's registered name.
+            script: String,
+            /// Why the compiler rejected it.
+            error: sgl_exec::CompileError,
+        },
     }
 
     impl fmt::Display for EngineError {
@@ -77,6 +84,7 @@ pub mod error {
                 EngineError::Exec(e) => write!(f, "{e}"),
                 EngineError::Env(e) => write!(f, "{e}"),
                 EngineError::Config(msg) => write!(f, "engine configuration error: {msg}"),
+                EngineError::Compile { script, error } => write!(f, "script `{script}`: {error}"),
             }
         }
     }
@@ -117,27 +125,26 @@ impl UnitSelector {
     }
 }
 
-/// A script registered with the simulation: its optimized plan plus the
-/// selector choosing the units that run it.
+/// A script registered with the simulation: its normalized AST, the
+/// bytecode lowered from it, the optimized plan and the selector choosing
+/// the units that run it.
 #[derive(Debug, Clone)]
 pub struct RegisteredScript {
     /// Human-readable name (for reports).
     pub name: String,
-    /// The optimized plan.
+    /// The optimized plan.  Not executed: [`Simulation::explain`] renders
+    /// it, and the checkpoint's scripts fingerprint hashes it.
     pub plan: LogicalPlan,
-    /// The normalized script AST the plan was compiled from, when the caller
-    /// kept it (scripts registered through `GameBuilder` always carry it).
-    /// Required to run under [`ExecMode::Oracle`], which interprets the AST
-    /// directly instead of the plan.
-    pub normal: Option<NormalScript>,
+    /// The normalized script AST.  [`ExecMode::Oracle`] interprets it
+    /// directly; every other mode runs `compiled`.
+    pub normal: NormalScript,
     /// Which units run it.
     pub selector: UnitSelector,
-    /// Register bytecode lowered from `normal`, when the script carries its
-    /// source and compiles cleanly.  Executed under [`ExecMode::Compiled`];
-    /// scripts without bytecode fall back to the plan walker in any mode.
-    /// Never serialized — checkpoints carry no bytecode, and resume
-    /// recompiles from the normalized AST.
-    pub compiled: Option<CompiledScript>,
+    /// Register bytecode lowered from `normal`, run by the VM under
+    /// [`ExecMode::Naive`] and [`ExecMode::Compiled`].  Never serialized —
+    /// checkpoints carry no bytecode, and resume recompiles from the
+    /// normalized AST.
+    pub compiled: CompiledScript,
 }
 
 /// Resurrection rule of §6: dead units respawn at a random position.
@@ -243,72 +250,68 @@ impl Simulation {
         }
     }
 
-    /// Register a script.  Scripts are matched in registration order, so more
-    /// specific selectors should be registered before catch-alls.
+    /// Register a script: its optimized plan (for `explain` and the
+    /// checkpoint fingerprint) and the normalized AST it came from, which is
+    /// lowered to bytecode here.  Scripts are matched in registration order,
+    /// so more specific selectors should be registered before catch-alls.
+    /// A script the compiler rejects is an [`EngineError::Compile`] and
+    /// leaves the simulation unchanged.
     pub fn add_script(
-        &mut self,
-        name: impl Into<String>,
-        plan: LogicalPlan,
-        selector: UnitSelector,
-    ) {
-        self.scripts.push(RegisteredScript {
-            name: name.into(),
-            plan,
-            normal: None,
-            selector,
-            compiled: None,
-        });
-    }
-
-    /// Register a script together with the normalized AST it was compiled
-    /// from, enabling the differential [`ExecMode::Oracle`] for this
-    /// simulation.  `GameBuilder` uses this for every compiled script.
-    pub fn add_script_with_source(
         &mut self,
         name: impl Into<String>,
         plan: LogicalPlan,
         normal: NormalScript,
         selector: UnitSelector,
-    ) {
+    ) -> Result<()> {
         let name = name.into();
-        // Lower to register bytecode eagerly.  A script that does not
-        // compile (e.g. it references a name only resolvable at runtime)
-        // simply keeps executing on the plan walker — the bytecode is an
-        // execution strategy, never a semantic requirement.
-        let compiled = compile_script(
-            &name,
-            &normal,
-            &self.registry,
-            self.table.schema(),
-            self.exec_config.spatial,
-        )
-        .ok();
+        let compiled = self.lower(&name, &normal, &self.exec_config)?;
         self.scripts.push(RegisteredScript {
             name,
             plan,
-            normal: Some(normal),
+            normal,
             selector,
             compiled,
         });
+        Ok(())
     }
 
-    /// Re-lower every script that carries its normalized source into
-    /// register bytecode.  The bytecode bakes in schema attribute ids and
-    /// the spatial-attribute configuration (per-clause filter analyses), so
-    /// it is rebuilt whenever the execution configuration changes — and on
-    /// resume, where the checkpoint stores no bytecode by design.
-    fn recompile_scripts(&mut self) {
-        for script in &mut self.scripts {
-            script.compiled = script.normal.as_ref().and_then(|normal| {
-                compile_script(
-                    &script.name,
-                    normal,
-                    &self.registry,
-                    self.table.schema(),
-                    self.exec_config.spatial,
-                )
-                .ok()
-            });
+    /// Lower one normalized script to bytecode under `config`.
+    fn lower(
+        &self,
+        name: &str,
+        normal: &NormalScript,
+        config: &ExecConfig,
+    ) -> Result<CompiledScript> {
+        compile_script(
+            name,
+            normal,
+            &self.registry,
+            self.table.schema(),
+            config.spatial,
+        )
+        .map_err(|error| EngineError::Compile {
+            script: name.to_string(),
+            error,
+        })
+    }
+
+    /// Lower every registered script under `config`.  The bytecode bakes in
+    /// schema attribute ids and the spatial-attribute configuration
+    /// (per-clause filter analyses), so it is rebuilt whenever the execution
+    /// configuration changes — and on resume, where the checkpoint stores no
+    /// bytecode by design.  Nothing is replaced here, so a failure leaves
+    /// the simulation untouched.
+    fn recompile_scripts(&self, config: &ExecConfig) -> Result<Vec<CompiledScript>> {
+        self.scripts
+            .iter()
+            .map(|script| self.lower(&script.name, &script.normal, config))
+            .collect()
+    }
+
+    /// Install bytecode produced by `recompile_scripts`, in script order.
+    fn install_compiled(&mut self, compiled: Vec<CompiledScript>) {
+        for (script, compiled) in self.scripts.iter_mut().zip(compiled) {
+            script.compiled = compiled;
         }
     }
 
@@ -356,12 +359,16 @@ impl Simulation {
     }
 
     /// Change the execution configuration (e.g. switch naive ↔ indexed, or
-    /// change the maintenance policy).  Resets the index manager.
-    pub fn set_exec_config(&mut self, config: ExecConfig) {
+    /// change the maintenance policy).  Resets the index manager.  Fails
+    /// with [`EngineError::Compile`], leaving the simulation unchanged, if a
+    /// script does not lower under `config`.
+    pub fn set_exec_config(&mut self, config: ExecConfig) -> Result<()> {
+        let compiled = self.recompile_scripts(&config)?;
+        self.install_compiled(compiled);
         self.index_manager = IndexManager::new(&config);
         self.planned = plan_registry(&self.registry, &self.table, &config);
         self.exec_config = config;
-        self.recompile_scripts();
+        Ok(())
     }
 
     /// Change only the worker-thread count of the decision/action phases.
@@ -508,16 +515,15 @@ impl Simulation {
         for script in &self.scripts {
             let _ = writeln!(out, "script `{}`:", script.name);
             out.push_str(&explain_with_costs(&script.plan, &annotations));
-            // Bytecode lowering of each call site, when the script compiled:
-            // the registers feeding every aggregate probe and perform site,
-            // plus the clause shape (targeted / rect / scan) the VM executes.
-            if let Some(compiled) = &script.compiled {
-                for (_, line) in compiled.agg_site_lines() {
-                    let _ = writeln!(out, "  ↳ compiled: {line}");
-                }
-                for (_, line) in compiled.perform_site_lines() {
-                    let _ = writeln!(out, "  ↳ compiled: {line}");
-                }
+            // Bytecode lowering of each call site: the registers feeding
+            // every aggregate probe and perform site, plus the clause shape
+            // (targeted / rect / scan) the VM executes.
+            let compiled = &script.compiled;
+            for (_, line) in compiled.agg_site_lines() {
+                let _ = writeln!(out, "  ↳ compiled: {line}");
+            }
+            for (_, line) in compiled.perform_site_lines() {
+                let _ = writeln!(out, "  ↳ compiled: {line}");
             }
         }
         out
@@ -602,25 +608,19 @@ impl Simulation {
 
         // Decision + action phases (including per-tick index building and,
         // on the first tick of a maintained policy, the initial structure
-        // build).  The oracle mode bypasses the plan executors entirely and
-        // interprets the registered scripts' normalized ASTs.
+        // build).  The oracle mode bypasses the VM entirely and interprets
+        // the registered scripts' normalized ASTs.
         let phase_start = Instant::now();
         let (effects, mut exec_stats, obs) = if self.exec_config.mode == ExecMode::Oracle {
-            let mut runs: Vec<OracleRun<'_>> = Vec::with_capacity(self.scripts.len());
-            for (script, rows) in self.scripts.iter().zip(acting) {
-                let normal = script.normal.as_ref().ok_or_else(|| {
-                    EngineError::Config(format!(
-                        "script `{}` was registered without its normalized AST; \
-                         the oracle interpreter needs the source — register it \
-                         through GameBuilder or Simulation::add_script_with_source",
-                        script.name
-                    ))
-                })?;
-                runs.push(OracleRun {
-                    script: normal,
+            let runs: Vec<OracleRun<'_>> = self
+                .scripts
+                .iter()
+                .zip(acting)
+                .map(|(script, rows)| OracleRun {
+                    script: &script.normal,
                     acting_rows: rows,
-                });
-            }
+                })
+                .collect();
             let (effects, stats) =
                 execute_tick_oracle(&self.table, &self.registry, &runs, &tick_rng)?;
             (effects, stats, TickObservations::default())
@@ -629,13 +629,7 @@ impl Simulation {
                 .scripts
                 .iter()
                 .zip(acting)
-                .map(|(script, rows)| {
-                    let run = ScriptRun::new(&script.plan, rows);
-                    match &script.compiled {
-                        Some(compiled) => run.with_compiled(compiled),
-                        None => run,
-                    }
-                })
+                .map(|(script, rows)| ScriptRun::new(&script.compiled, rows))
                 .collect();
             execute_tick_planned(
                 &self.table,
@@ -997,8 +991,11 @@ impl Simulation {
         // migration (the reconstruction is bookkeeping of the resume, not
         // of a tick).
         index_manager.last_maint = maint;
+        // Checkpoints carry no bytecode: lower the scripts from their stored
+        // normalized ASTs under the resume configuration.
+        let compiled = self.recompile_scripts(&config)?;
 
-        // Everything decoded, validated and rebuilt — commit.
+        // Everything decoded, validated, rebuilt and compiled — commit.
         self.table = table;
         self.planned = planned;
         self.index_manager = index_manager;
@@ -1007,9 +1004,7 @@ impl Simulation {
         self.rng = GameRng::new(seed);
         self.tick = tick;
         self.history.clear();
-        // Checkpoints carry no bytecode: reconstruct the compiled scripts
-        // from their stored normalized ASTs under the resume configuration.
-        self.recompile_scripts();
+        self.install_compiled(compiled);
         Ok(())
     }
 
@@ -1049,11 +1044,12 @@ mod tests {
     use sgl_lang::parse_script;
     use std::sync::Arc;
 
-    fn compile(src: &str) -> LogicalPlan {
-        let registry = paper_registry();
+    /// Parse, normalize and optimize `src`, then register it.
+    fn register(sim: &mut Simulation, name: &str, src: &str, selector: UnitSelector) {
         let script = parse_script(src).unwrap();
-        let normal = normalize(&script, &registry).unwrap();
-        optimize(translate(&normal), &registry).plan
+        let normal = normalize(&script, sim.registry()).unwrap();
+        let plan = optimize(translate(&normal), sim.registry()).plan;
+        sim.add_script(name, plan, normal, selector).unwrap();
     }
 
     fn build_sim(n: usize, mode_indexed: bool) -> (Arc<Schema>, Simulation) {
@@ -1131,7 +1127,9 @@ mod tests {
             ExecConfig::naive(&schema)
         };
         let mut sim = Simulation::new(table, registry, mechanics, exec, 1234);
-        let plan = compile(
+        register(
+            &mut sim,
+            "battle",
             r#"main(u) {
                 (let c = CountEnemiesInRange(u, 10))
                 if c > 3 then
@@ -1141,8 +1139,8 @@ mod tests {
                 else
                   perform MoveInDirection(u, 25, 25);
             }"#,
+            UnitSelector::All,
         );
-        sim.add_script("battle", plan, UnitSelector::All);
         (schema, sim)
     }
 
@@ -1204,7 +1202,8 @@ mod tests {
             MaintenancePolicy::adaptive(),
         ] {
             let (schema, mut sim) = build_sim(28, true);
-            sim.set_exec_config(ExecConfig::indexed(&schema).with_policy(policy));
+            sim.set_exec_config(ExecConfig::indexed(&schema).with_policy(policy))
+                .unwrap();
             for (tick, expected) in reference.iter().enumerate() {
                 let report = sim.step().unwrap();
                 assert_eq!(
@@ -1238,7 +1237,8 @@ mod tests {
         let (schema, mut sim) = build_sim(20, true);
         sim.set_exec_config(
             ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental),
-        );
+        )
+        .unwrap();
         sim.run(3).unwrap();
         // The maintain phase ran (its duration is part of every report); the
         // rebuild policy leaves it at zero.
@@ -1279,33 +1279,17 @@ mod tests {
     #[test]
     fn oracle_mode_reproduces_plan_execution_digests() {
         use sgl_exec::ExecMode;
-        // Register the battle script with its normalized AST so the oracle
-        // can interpret it, then check tick-for-tick digest equality against
-        // naive and indexed plan execution.
-        let registry = paper_registry();
-        let src = r#"main(u) {
-            (let c = CountEnemiesInRange(u, 10))
-            if c > 3 then
-              perform MoveInDirection(u, u.posx - 5, u.posy);
-            else if c > 0 and u.cooldown = 0 then
-              perform FireAt(u, getNearestEnemy(u).key);
-            else
-              perform MoveInDirection(u, 25, 25);
-        }"#;
-        let script = parse_script(src).unwrap();
-        let normal = normalize(&script, &registry).unwrap();
-        let plan = optimize(translate(&normal), &registry).plan;
-
+        // The oracle interprets the battle script's normalized AST; check
+        // tick-for-tick digest equality against naive and indexed VM runs.
         let build = |mode: ExecMode| {
             let (schema, mut sim) = build_sim(26, true);
-            sim.clear_scripts();
-            sim.add_script_with_source("battle", plan.clone(), normal.clone(), UnitSelector::All);
-            sim.set_exec_config(ExecConfig::for_mode(mode, &schema));
+            sim.set_exec_config(ExecConfig::for_mode(mode, &schema))
+                .unwrap();
             sim
         };
         let mut oracle = build(ExecMode::Oracle);
         let mut naive = build(ExecMode::Naive);
-        let mut indexed = build(ExecMode::Indexed);
+        let mut indexed = build(ExecMode::Compiled);
         for tick in 0..5 {
             let report = oracle.step().unwrap();
             naive.step().unwrap();
@@ -1328,13 +1312,28 @@ mod tests {
     }
 
     #[test]
-    fn oracle_mode_requires_script_sources() {
-        let (schema, mut sim) = build_sim(8, true);
-        // build_sim registers through add_script (plan only) — the oracle
-        // must refuse rather than silently falling back to the plan.
-        sim.set_exec_config(ExecConfig::oracle(&schema));
-        let err = sim.step().unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err}");
+    fn registering_a_script_the_compiler_rejects_is_a_typed_error() {
+        let (_, mut sim) = build_sim(8, true);
+        // `nope` normalizes (names resolve at run time in the AST) but is
+        // neither a let binding nor a registry constant, so lowering fails.
+        let script = parse_script("main(u) { perform MoveInDirection(u, nope, 0); }").unwrap();
+        let normal = normalize(&script, sim.registry()).unwrap();
+        let plan = optimize(translate(&normal), sim.registry()).plan;
+        let err = sim
+            .add_script("bad", plan, normal, UnitSelector::All)
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                EngineError::Compile { script, error: sgl_exec::CompileError::Unresolved(name) }
+                    if script == "bad" && name == "nope"
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("nope"));
+        // The rejected script was not registered; the simulation still runs.
+        assert_eq!(sim.scripts().len(), 1);
+        sim.step().unwrap();
     }
 
     #[test]
@@ -1423,7 +1422,7 @@ mod tests {
     fn shared_mirror_tracks_deaths_and_out_of_band_edits() {
         let (schema, mut reference) = build_sim(40, true);
         let (_, mut mixed) = build_sim(40, true);
-        mixed.set_exec_config(mixed_sites_config(&schema));
+        mixed.set_exec_config(mixed_sites_config(&schema)).unwrap();
         let edit = |table: &mut EnvTable| {
             let key = table.schema().key_attr();
             table
@@ -1468,7 +1467,7 @@ mod tests {
             })
             .collect();
         let (_, mut writer) = build_sim(32, true);
-        writer.set_exec_config(mixed_sites_config(&schema));
+        writer.set_exec_config(mixed_sites_config(&schema)).unwrap();
         for _ in 0..4 {
             writer.step().unwrap();
         }
@@ -1506,9 +1505,10 @@ mod tests {
         // Different scripts: same schema, different behaviour.
         let (_, mut other_scripts) = build_sim(12, true);
         other_scripts.clear_scripts();
-        other_scripts.add_script(
+        register(
+            &mut other_scripts,
             "different",
-            compile("main(u) { perform MoveInDirection(u, 0, 0); }"),
+            "main(u) { perform MoveInDirection(u, 0, 0); }",
             UnitSelector::All,
         );
         let err = other_scripts.resume(&bytes, config).unwrap_err();
@@ -1556,9 +1556,11 @@ mod tests {
     fn checkpoint_carries_runtime_stats_and_planner_choices() {
         use sgl_exec::PlannerMode;
         let (schema, mut writer) = build_sim(30, true);
-        writer.set_exec_config(
-            ExecConfig::cost_based(&schema).with_planner(PlannerMode::cost_based(2)),
-        );
+        writer
+            .set_exec_config(
+                ExecConfig::cost_based(&schema).with_planner(PlannerMode::cost_based(2)),
+            )
+            .unwrap();
         for _ in 0..5 {
             writer.step().unwrap();
         }
@@ -1591,14 +1593,16 @@ mod tests {
         let (schema, mut sim) = build_sim(10, true);
         sim.clear_scripts();
         let player = schema.attr_id("player").unwrap();
-        sim.add_script(
+        register(
+            &mut sim,
             "p0",
-            compile("main(u) { perform MoveInDirection(u, 0, 0); }"),
+            "main(u) { perform MoveInDirection(u, 0, 0); }",
             UnitSelector::AttrEquals(player, Value::Int(0)),
         );
-        sim.add_script(
+        register(
+            &mut sim,
             "p1",
-            compile("main(u) { perform MoveInDirection(u, 50, 50); }"),
+            "main(u) { perform MoveInDirection(u, 50, 50); }",
             UnitSelector::AttrEquals(player, Value::Int(1)),
         );
         let report = sim.step().unwrap();
@@ -1665,11 +1669,10 @@ mod tests {
             ExecConfig::indexed(&schema),
             7,
         );
-        sim.add_script(
+        register(
+            &mut sim,
             "fire",
-            compile(
-                "main(u) { if u.cooldown = 0 then perform FireAt(u, getNearestEnemy(u).key); }",
-            ),
+            "main(u) { if u.cooldown = 0 then perform FireAt(u, getNearestEnemy(u).key); }",
             UnitSelector::All,
         );
         let mut total_deaths = 0;

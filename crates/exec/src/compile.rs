@@ -1,9 +1,9 @@
 //! Lowering normalised scripts to register bytecode (§5-style physical
 //! compilation of the script layer).
 //!
-//! The tree-walking interpreter of [`crate::interp`] re-resolves every name,
-//! attribute and built-in on every tick for every unit.  This pass runs once
-//! per script install instead: it flattens the normalised action tree into a
+//! Walking the script tree would re-resolve every name, attribute and
+//! built-in on every tick for every unit.  This pass runs once per script
+//! install instead: it flattens the normalised action tree into a
 //! [`CompiledScript`] — a flat instruction array over virtual registers with
 //! a constant pool, pre-resolved [`AttrId`] attribute slots, and aggregate /
 //! perform *call sites* whose argument registers, parameter names, filter
@@ -13,17 +13,18 @@
 //! Compilation is semantically conservative: every construct the evaluator
 //! of `sgl-lang` supports is lowered to an instruction that calls the *same*
 //! shared semantics helpers (`ScriptValue::zip_binop`, `as_scalar`,
-//! `loose_eq`/`compare`), so compiled execution is bit-identical to the
-//! interpreter; anything outside the normal form (nested aggregates, row
-//! references in a script body, unknown names) is a [`CompileError`] and the
-//! engine transparently falls back to the interpreter for that script.
+//! `loose_eq`/`compare`) as the oracle of [`crate::oracle`], so compiled
+//! execution is bit-identical to it.  Compilation is total for registered
+//! scripts: anything outside the normal form (nested aggregates, row
+//! references in a script body, unknown names) is a [`CompileError`] that
+//! the engine reports at registration.
 //!
 //! One deliberate restriction: built-in definitions are *closed* SQL
 //! fragments (they may reference their parameters, `u.*`, `e.*` and game
 //! constants, never a script-local `let` variable), so compiled call sites
 //! evaluate them in a context without the script's let bindings.  The
-//! interpreter happens to leak script bindings into definition evaluation;
-//! no well-formed registry definition can observe the difference.
+//! oracle happens to leak script bindings into definition evaluation; no
+//! well-formed registry definition can observe the difference.
 
 use std::fmt;
 
@@ -40,10 +41,9 @@ use crate::filter::{analyze_filter, FilterAnalysis};
 /// straight-line code per scope, so no clearing between units is needed).
 pub(crate) type Reg = u16;
 
-/// Why a script could not be lowered to bytecode.  The engine treats any
-/// compile error as "run this script through the tree-walking interpreter",
-/// which reproduces the exact runtime behaviour (including runtime errors)
-/// the script would have anyway.
+/// Why a script could not be lowered to bytecode.  The engine rejects such a
+/// script at registration (and on every recompile: `set_exec_config`,
+/// `resume`) with this error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
     /// A bare name is neither a let binding in scope, a registry constant,
@@ -77,7 +77,7 @@ pub(crate) enum Instr {
     Const { dst: Reg, idx: u16 },
     /// `dst = constants[const_names[idx]]` — a registry game constant,
     /// re-resolved once per shard run so late registry edits behave exactly
-    /// like the interpreter's per-probe lookup.
+    /// like a per-probe lookup.
     NamedConst { dst: Reg, idx: u16 },
     /// `dst = u.attr` (pre-resolved attribute slot of the acting unit).
     UnitAttr { dst: Reg, attr: AttrId },
@@ -108,8 +108,8 @@ pub(crate) enum Instr {
     },
     /// `dst = (items...)` — a tuple literal with `_0`, `_1`, ... field names.
     Tuple { dst: Reg, items: Vec<Reg> },
-    /// `dst = aggregate call site `site`` (memo/probe-cache keyed by the
-    /// call fingerprint, answered by indexes or the reference scan).
+    /// `dst = aggregate call site `site`` (answered by the per-tick index
+    /// cache or the reference scan).
     CallAgg { dst: Reg, site: u16 },
     /// Execute perform call site `site` (buffers its effects site-major).
     Perform { site: u16 },
@@ -138,7 +138,7 @@ pub(crate) enum Instr {
 /// cost-based planner may switch backends between ticks), never per unit.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AggSite {
-    /// Aggregate name (also the memo/observation key).
+    /// Aggregate name (also the observation key).
     pub(crate) name: String,
     /// Argument registers, in call order.
     pub(crate) args: Vec<Reg>,
@@ -146,7 +146,7 @@ pub(crate) struct AggSite {
 
 /// One compiled effect clause of a perform site: the original filter (for
 /// the per-target residual check), its ahead-of-time [`FilterAnalysis`]
-/// (computed per *install*, not per unit per tick as the interpreter does)
+/// (computed per *install*, not per unit per tick)
 /// and the effect assignments with attribute ids already resolved.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CompiledClause {
@@ -398,7 +398,7 @@ struct Compiler<'a> {
     agg_sites: Vec<AggSite>,
     perform_sites: Vec<PerformSite>,
     /// Lexical scope: let-bound names to the register holding their value.
-    /// Later entries shadow earlier ones, mirroring the interpreter's
+    /// Later entries shadow earlier ones, mirroring the oracle's
     /// binding-map insert order.
     scope: Vec<(String, Reg)>,
     num_regs: usize,
@@ -653,7 +653,7 @@ impl<'a> Compiler<'a> {
                 "`e.{attr}` referenced in a script body"
             ))),
             Term::Var(VarRef::Name(name)) => {
-                // The interpreter resolves bindings first, then constants.
+                // The oracle resolves bindings first, then constants.
                 if let Some(reg) = self.lookup(name) {
                     return Ok(reg);
                 }

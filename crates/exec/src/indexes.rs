@@ -2014,7 +2014,7 @@ mod tests {
         let rng = GameRng::new(7).for_tick(3);
 
         for (label, config) in configs(&schema) {
-            let planned_map = crate::interp::plan_registry(&registry, &table, &config);
+            let planned_map = crate::tick::plan_registry(&registry, &table, &config);
             let mut manager = IndexManager::new(&config);
             for agg_name in [
                 "CountEnemiesInRange",
@@ -2167,7 +2167,7 @@ mod tests {
         let registry = paper_registry();
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental);
-        let planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
 
         // First sync builds every partition from scratch.
@@ -2220,7 +2220,7 @@ mod tests {
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema)
             .with_policy(MaintenancePolicy::Adaptive { rebuild_ratio: 0.3 });
-        let planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
         manager.end_tick(&table, &planned_map, &constants).unwrap();
 
@@ -2252,7 +2252,7 @@ mod tests {
         let registry = paper_registry();
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental);
-        let planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
         manager.end_tick(&table, &planned_map, &constants).unwrap();
         assert!(manager.maintained_aggregates() > 0);
@@ -2297,7 +2297,7 @@ mod tests {
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema);
         let rng = GameRng::new(7).for_tick(3);
-        let mut planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let switched = crate::planner::force_materialized(&mut planned_map);
         assert!(switched > 0, "registry has materializable sites");
 
@@ -2481,7 +2481,7 @@ mod tests {
         let registry = paper_registry();
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema);
-        let mut planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
         crate::planner::force_materialized(&mut planned_map);
         let planned = planned_map.get("CountEnemiesInRange").unwrap().clone();
         let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(15.0)];
@@ -2541,7 +2541,7 @@ mod tests {
     fn mixed_sites(table: &EnvTable) -> (ExecConfig, FxHashMap<String, PlannedAggregate>) {
         let config =
             ExecConfig::indexed(table.schema()).with_policy(MaintenancePolicy::Incremental);
-        let mut planned = crate::interp::plan_registry(&paper_registry(), table, &config);
+        let mut planned = crate::tick::plan_registry(&paper_registry(), table, &config);
         crate::planner::force_materialized(&mut planned);
         (config, planned)
     }

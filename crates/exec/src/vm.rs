@@ -8,28 +8,22 @@
 //! once per shard run (the cost-based planner may change backends between
 //! ticks), so nothing in the per-unit path performs a string lookup.
 //!
-//! **Determinism contract.**  The interpreter emits effects
-//! *statement-major*: for each `perform` site, all acting units' effects in
-//! unit order (clauses in definition order per unit).  The VM executes
-//! *unit-major* (each unit runs its whole script before the next), which is
-//! the cache-friendly order, and buffers effects per perform site; after the
-//! shard's units finish it replays the buffers site-major.  The replayed
-//! emission sequence is therefore exactly the interpreter's, so the `⊕`
-//! fold — including non-associative float sums — stays bit-identical, and
-//! the run-major parallel replay of `interp.rs` composes unchanged on top.
+//! **Determinism contract.**  Effects are emitted *statement-major*: for
+//! each `perform` site, all acting units' effects in unit order (clauses in
+//! definition order per unit) — the set-at-a-time order of the script's
+//! logical plan.  The VM executes *unit-major* (each unit runs its whole
+//! script before the next), which is the cache-friendly order, and buffers
+//! effects per perform site; after the shard's units finish it replays the
+//! buffers site-major.  The `⊕` fold — including non-associative float
+//! sums — is therefore independent of how the units were iterated, and the
+//! run-major parallel replay of `tick.rs` composes unchanged on top.
 //!
-//! Aggregate probes hit the same per-tick index cache and the same scan
-//! fallback as the interpreter, but skip the interpreter's sharing memo: the
-//! memo exists because the plan walker duplicates hoisted aggregate calls
-//! across `Apply` statements, whereas the bytecode calls each site exactly
-//! once per unit, so a `(site, unit)` key could never repeat within a run
-//! and the fingerprint + map traffic would be pure overhead.  Results are
-//! identical either way — aggregates are pure functions of the tick-frozen
-//! environment — but the bookkeeping *counts* (`aggregate_probes`,
-//! `shared_hits`) legitimately differ from interpreted runs, which the
-//! conformance digests do not observe.  Per-call-site bookkeeping for the
-//! cost-based planner is batched: the VM counts probes per site id during
-//! the run and flushes once into [`TickObservations`] at the end.
+//! Aggregate probes hit the per-tick index cache (indexed mode) or scan the
+//! environment (naive mode, or an index miss).  The bytecode calls each
+//! site exactly once per unit, so there is nothing to memoize.
+//! Per-call-site bookkeeping for the cost-based planner is batched: the VM
+//! counts probes per site id during the run and flushes once into
+//! [`TickObservations`] at the end.
 //!
 //! [`TickObservations`]: crate::stats::TickObservations
 
@@ -45,8 +39,8 @@ use sgl_env::{AttrId, Value};
 use crate::builtin_eval::eval_aggregate_scan;
 use crate::compile::{CompiledScript, Instr};
 use crate::error::{ExecError, Result};
-use crate::interp::{ShardState, TickShared};
 use crate::planner::PlannedAggregate;
+use crate::tick::{ShardState, TickShared};
 
 /// An aggregate call site resolved against this tick's registry and plan
 /// cache, with its parameter map pre-keyed so a probe only overwrites
@@ -131,7 +125,7 @@ fn rebind_params(
 }
 
 /// Execute one compiled script for `acting_rows` within a shard, emitting
-/// effects into the shard's sink in the interpreter's exact order.
+/// effects into the shard's sink in statement-major order.
 pub(crate) fn run_compiled(
     shared: &TickShared<'_>,
     state: &mut ShardState<'_>,
@@ -163,7 +157,7 @@ pub(crate) fn run_compiled(
         })
         .collect::<Result<Vec<_>>>()?;
     // Missing names only error if an instruction actually reads them —
-    // exactly when the interpreter's lazy per-probe lookup would.
+    // exactly when a lazy per-probe lookup would.
     let consts: Vec<Option<&Value>> = compiled
         .const_names
         .iter()
@@ -196,7 +190,7 @@ pub(crate) fn run_compiled(
             .obs
             .record_served_n(&site.def.name, PhysicalBackend::Scan, site.scans);
     }
-    // Site-major replay = the interpreter's statement-major emission order.
+    // Site-major replay = statement-major emission order.
     for log in vm.site_logs {
         for (key, attr, value) in log {
             state.effects.emit(key, attr, value)?;
@@ -290,7 +284,7 @@ impl Vm {
                                     val
                                 }
                             },
-                            // Same error as the interpreter's `v.field(..)`.
+                            // Same error as the oracle's `v.field(..)`.
                             ScriptValue::Scalar(_) => v.field(name)?.clone(),
                         }
                     };
@@ -341,10 +335,8 @@ impl Vm {
         }
     }
 
-    /// One aggregate probe: the interpreter's `eval_aggregate` flow (index
-    /// cache → scan fallback) with the definition and plan pre-resolved, the
-    /// parameter map reused, and the sharing memo skipped (see the module
-    /// docs — a `(site, unit)` key cannot repeat within a run).
+    /// One aggregate probe (index cache → scan fallback) with the definition
+    /// and plan pre-resolved and the parameter map reused.
     #[allow(clippy::too_many_arguments)]
     fn call_aggregate(
         &mut self,
@@ -393,9 +385,9 @@ impl Vm {
         Ok(result)
     }
 
-    /// One perform-site execution for one unit: the interpreter's
-    /// `apply_action` with the filter analysis and effect attribute ids
-    /// pre-computed, buffering emissions into the site's log.  The clause
+    /// One perform-site execution for one unit, with the filter analysis and
+    /// effect attribute ids pre-computed, buffering emissions into the site's
+    /// log.  The clause
     /// loop reuses one evaluation context, flipping its candidate row in
     /// place instead of cloning the bindings per target.
     fn perform(

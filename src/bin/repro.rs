@@ -7,12 +7,19 @@
 //! cargo run --release --bin repro -- all        # everything (default)
 //! ```
 //!
+//! The indexed side runs the default configuration
+//! ([`ExecConfig::cost_based`], the one the repository benchmark times); the
+//! naive side runs the same bytecode VM with every aggregate scanning.
 //! Absolute numbers depend on the machine; the reproduced quantity is the
 //! *shape*: quadratic naive growth, near-linear indexed growth, an order of
 //! magnitude gap well before 1 000 units.
 
 use sgl::battle::scenario::run_battle;
-use sgl::exec::ExecMode;
+use sgl::env::Schema;
+use sgl::exec::ExecConfig;
+
+/// An executor-configuration preset (`ExecConfig::naive`, `cost_based`, ...).
+type Preset = fn(&Schema) -> ExecConfig;
 
 fn fig10(quick: bool) {
     println!("== Figure 10: total time per 500 ticks vs. number of units (density 1%) ==");
@@ -30,8 +37,8 @@ fn fig10(quick: bool) {
         // in reasonable time; the per-tick cost is what matters.
         let ticks = (4000 / units).clamp(2, 20);
         let naive_ticks = if units > 4000 { 2 } else { ticks };
-        let naive = run_battle(units, 0.01, ExecMode::Naive, naive_ticks, 42);
-        let indexed = run_battle(units, 0.01, ExecMode::Indexed, ticks, 42);
+        let naive = run_battle(units, 0.01, ExecConfig::naive, naive_ticks, 42);
+        let indexed = run_battle(units, 0.01, ExecConfig::cost_based, ticks, 42);
         println!(
             "{:>8} {:>16.2} {:>16.2} {:>8.1}x",
             units,
@@ -49,8 +56,8 @@ fn density() {
         "density", "naive (s/500t)", "indexed (s/500t)"
     );
     for density in [0.005, 0.01, 0.02, 0.04, 0.08] {
-        let naive = run_battle(500, density, ExecMode::Naive, 5, 42);
-        let indexed = run_battle(500, density, ExecMode::Indexed, 5, 42);
+        let naive = run_battle(500, density, ExecConfig::naive, 5, 42);
+        let indexed = run_battle(500, density, ExecConfig::cost_based, 5, 42);
         println!(
             "{:>8.1}% {:>16.2} {:>16.2}",
             density * 100.0,
@@ -62,22 +69,26 @@ fn density() {
 
 fn capacity() {
     println!("== Capacity at 10 ticks/second (section 6.1) ==");
-    for mode in [ExecMode::Naive, ExecMode::Indexed] {
+    let naive: Preset = ExecConfig::naive;
+    for (label, config) in [
+        ("naive", naive),
+        ("default (cost-based)", ExecConfig::cost_based),
+    ] {
         let mut supported = 0usize;
         for &units in &[250usize, 500, 1000, 2000, 4000, 8000, 12000, 16000] {
-            let ticks = if mode == ExecMode::Naive && units > 2000 {
+            let ticks = if label == "naive" && units > 2000 {
                 2
             } else {
                 3
             };
-            let m = run_battle(units, 0.01, mode, ticks, 42);
+            let m = run_battle(units, 0.01, config, ticks, 42);
             if m.ticks_per_second() >= 10.0 {
                 supported = units;
             } else {
                 break;
             }
         }
-        println!("{mode:?}: supports ~{supported} units at >= 10 ticks/second");
+        println!("{label}: supports ~{supported} units at >= 10 ticks/second");
     }
 }
 

@@ -2,15 +2,18 @@
 //!
 //! Umbrella crate re-exporting the whole SGL system (a reproduction of
 //! *Scaling Games to Epic Proportions*, SIGMOD 2007): the scripting language,
-//! the query optimizer, the naive and indexed executors, the discrete
-//! simulation engine and the battle-simulation case study.
+//! the query optimizer, the bytecode executor with naive and indexed
+//! aggregate answering, the discrete simulation engine and the
+//! battle-simulation case study.
 //!
 //! ```
 //! use sgl::battle::{BattleScenario, ScenarioConfig};
-//! use sgl::exec::ExecMode;
+//! use sgl::exec::ExecConfig;
 //!
 //! let scenario = BattleScenario::generate(ScenarioConfig { units: 40, ..Default::default() });
-//! let mut sim = scenario.build_simulation(ExecMode::Indexed);
+//! // The default configuration: scripts on the bytecode VM, aggregates
+//! // answered from indexes chosen per call site by the cost-based planner.
+//! let mut sim = scenario.build_with_config(ExecConfig::cost_based(&scenario.schema));
 //! sim.run(2).unwrap();
 //! assert_eq!(sim.current_tick(), 2);
 //! ```

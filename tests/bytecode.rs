@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use sgl::battle::PresetScenario;
-use sgl::exec::{ExecConfig, ExecMode};
+use sgl::exec::ExecConfig;
 use sgl_testkit::ConformanceCase;
 
 fn blessing() -> bool {
@@ -30,11 +30,9 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Compile every script of a preset and render the full disassembly, one
-/// section per script.  The writer configuration pins [`ExecMode::Compiled`]
-/// so the snapshot never depends on `SGL_EXEC_MODE`.
+/// section per script.
 fn disassemble_preset(p: &PresetScenario) -> String {
-    let config = ExecConfig::indexed(&p.schema).with_mode(ExecMode::Compiled);
-    let sim = p.build_with_config(config);
+    let sim = p.build_with_config(ExecConfig::indexed(&p.schema));
     let mut out = String::new();
     assert!(
         !sim.scripts().is_empty(),
@@ -42,14 +40,8 @@ fn disassemble_preset(p: &PresetScenario) -> String {
         p.name
     );
     for script in sim.scripts() {
-        let compiled = script.compiled.as_ref().unwrap_or_else(|| {
-            panic!(
-                "{}: preset script `{}` did not lower to bytecode",
-                p.name, script.name
-            )
-        });
         let _ = writeln!(out, "=== script `{}` ===", script.name);
-        let _ = writeln!(out, "{compiled}");
+        let _ = writeln!(out, "{}", script.compiled);
     }
     out
 }
@@ -92,9 +84,8 @@ fn preset_battles_disassemble_to_golden_snapshots() {
 #[test]
 fn disassembler_renders_instructions_and_call_sites() {
     let p = PresetScenario::all().into_iter().next().expect("presets");
-    let sim = p.build_with_config(ExecConfig::indexed(&p.schema).with_mode(ExecMode::Compiled));
-    let script = &sim.scripts()[0];
-    let compiled = script.compiled.as_ref().expect("preset script compiles");
+    let sim = p.build_with_config(ExecConfig::indexed(&p.schema));
+    let compiled = &sim.scripts()[0].compiled;
     let text = format!("{compiled}");
     // Every instruction index appears as a line label.
     for pc in 0..compiled.instr_count() {
@@ -134,9 +125,7 @@ fn compiled_matches_oracle_on_64_seeds_beyond_the_lattice() {
             ("serial", Parallelism::Off),
             ("4t", Parallelism::Threads(4)),
         ] {
-            let config = ExecConfig::indexed(&schema)
-                .with_mode(ExecMode::Compiled)
-                .with_parallelism(par);
+            let config = ExecConfig::indexed(&schema).with_parallelism(par);
             let candidate = case.digests(config);
             assert_eq!(
                 candidate,

@@ -8,12 +8,15 @@
 //! across the full configuration lattice:
 //!
 //! ```text
-//! {naive, planned} × {RebuildEachTick, Incremental, Adaptive}
-//!                  × {LayeredTree, QuadTree} × {serial, 2, 4 threads}
+//! naive × {serial, 2, 4 threads}
+//!   + compiled × {RebuildEachTick, Incremental, Adaptive}
+//!              × {LayeredTree, QuadTree} × {serial, 2, 4 threads}
+//!   + compiled/{costbased, materialized} × {serial, 2, 4 threads}
 //! ```
 //!
-//! (maintenance policy and backend are index-layer knobs, so the naive
-//! executor contributes one entry per thread count).  A divergence is
+//! (27 rows, all on the bytecode VM; maintenance policy and backend are
+//! index-layer knobs, so the naive mode contributes one entry per thread
+//! count).  A divergence is
 //! shrunk to a minimal set of units before failing, and the panic message is
 //! a complete reproducer: seed, configuration, tick, script source and the
 //! surviving world rows.
@@ -23,7 +26,7 @@
 
 use sgl::engine::StateDigest;
 use sgl::env::EnvTable;
-use sgl::exec::ExecConfig;
+use sgl::exec::{ExecConfig, ExecMode};
 use sgl_testkit::{config_lattice as lattice, ConformanceCase};
 
 /// Seeds to sweep: `SGL_CONFORMANCE_SEEDS` or the tier-1 default of 32.
@@ -212,27 +215,25 @@ fn the_lattice_covers_the_advertised_configurations() {
     let schema = sgl::battle::battle_schema();
     let configs = lattice(&schema);
     // 3 thread counts × (1 naive + 3 policies × 2 backends + 1 cost-based
-    // + 1 forced-materialized) = 27, plus 10 register-bytecode VM entries
-    // (3 rebuild/layered threads, incremental/serial, adaptive/4t,
-    // 2 cost-based, 3 forced-materialized) = 37.
-    assert_eq!(configs.len(), 37);
+    // + 1 forced-materialized) = 27, every one on the bytecode VM.
+    assert_eq!(configs.len(), 27);
+    assert!(configs
+        .iter()
+        .all(|(_, c)| matches!(c.mode, ExecMode::Naive | ExecMode::Compiled)));
     let labels: Vec<&str> = configs.iter().map(|(l, _)| l.as_str()).collect();
     for needle in [
         "naive/serial",
         "naive/4t",
-        "planned/rebuild/layered/serial",
-        "planned/rebuild/quadtree/2t",
-        "planned/incremental/layered/4t",
-        "planned/adaptive/quadtree/serial",
         "compiled/rebuild/layered/serial",
+        "compiled/rebuild/quadtree/2t",
+        "compiled/incremental/layered/4t",
+        "compiled/adaptive/quadtree/serial",
         "compiled/rebuild/layered/4t",
         "compiled/incremental/layered/serial",
         "compiled/adaptive/quadtree/4t",
         "compiled/costbased/w2/serial",
+        "compiled/costbased/w2/2t",
         "compiled/costbased/w2/4t",
-        "planned/materialized/serial",
-        "planned/materialized/2t",
-        "planned/materialized/4t",
         "compiled/materialized/serial",
         "compiled/materialized/2t",
         "compiled/materialized/4t",

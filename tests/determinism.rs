@@ -29,7 +29,7 @@ fn naive_and_indexed_traces_are_identical_for_every_formation() {
         };
         let scenario = BattleScenario::generate(config);
         let naive = record(&scenario, ExecMode::Naive, 5);
-        let indexed = record(&scenario, ExecMode::Indexed, 5);
+        let indexed = record(&scenario, ExecMode::Compiled, 5);
         assert_eq!(
             compare_traces(&naive, &indexed),
             TraceComparison::Identical,
@@ -50,7 +50,7 @@ fn the_skeleton_horde_scenario_is_mode_independent() {
     };
     let scenario = SkeletonScenario::generate(config);
     let mut naive = scenario.build_simulation(ExecMode::Naive);
-    let mut indexed = scenario.build_simulation(ExecMode::Indexed);
+    let mut indexed = scenario.build_simulation(ExecMode::Compiled);
     for _ in 0..6 {
         naive.step().unwrap();
         indexed.step().unwrap();
@@ -67,12 +67,12 @@ fn reruns_with_the_same_seed_reproduce_the_same_trace() {
         formation: Formation::Wedge,
         ..ScenarioConfig::default()
     };
-    let a = record(&BattleScenario::generate(config), ExecMode::Indexed, 6);
-    let b = record(&BattleScenario::generate(config), ExecMode::Indexed, 6);
+    let a = record(&BattleScenario::generate(config), ExecMode::Compiled, 6);
+    let b = record(&BattleScenario::generate(config), ExecMode::Compiled, 6);
     assert_eq!(compare_traces(&a, &b), TraceComparison::Identical);
     // And a different seed must *not* reproduce it.
     let other = ScenarioConfig { seed: 9, ..config };
-    let c = record(&BattleScenario::generate(other), ExecMode::Indexed, 6);
+    let c = record(&BattleScenario::generate(other), ExecMode::Compiled, 6);
     assert_ne!(compare_traces(&a, &c), TraceComparison::Identical);
 }
 
@@ -86,7 +86,7 @@ fn snapshots_preserve_mid_battle_state_exactly() {
         ..ScenarioConfig::default()
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(ExecMode::Indexed);
+    let mut sim = scenario.build_simulation(ExecMode::Compiled);
     sim.run(4).unwrap();
 
     let bytes = snapshot(sim.table()).unwrap();
@@ -107,7 +107,7 @@ fn timing_metrics_are_collected_for_every_tick() {
         ..ScenarioConfig::default()
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(ExecMode::Indexed);
+    let mut sim = scenario.build_simulation(ExecMode::Compiled);
     let summary = sim.run(4).unwrap();
     assert!(summary.timings.total() > std::time::Duration::ZERO);
     let throughput = sim.throughput();

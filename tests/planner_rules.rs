@@ -9,9 +9,10 @@
 use std::sync::Arc;
 
 use sgl::algebra::{explain, optimize_with, translate, LogicalPlan, OptimizerOptions};
-use sgl::env::{EnvTable, GameRng, Schema, TupleBuilder};
-use sgl::exec::{execute_tick, ExecConfig, ScriptRun};
-use sgl::lang::builtins::paper_registry;
+use sgl::env::{EffectBuffer, EnvTable, GameRng, Schema, TickRandom, TupleBuilder};
+use sgl::exec::builtin_eval::{bind_params, eval_aggregate_scan, eval_call_args};
+use sgl::lang::builtins::{paper_registry, Registry};
+use sgl::lang::eval::{eval_cond, eval_term, EvalContext, NoAggregates, ScriptValue};
 use sgl::lang::normalize::normalize;
 use sgl::lang::parse_script;
 
@@ -64,16 +65,134 @@ fn make_table(n: usize) -> (Arc<Schema>, EnvTable) {
     (schema, table)
 }
 
+/// One unit flowing through a relation node: its row and the columns the
+/// plan has extended it with so far.
+type Unit = (u32, Vec<(String, ScriptValue)>);
+
+/// A scan-only, serial evaluator of logical plans — the reference the rule
+/// checks compare against.  The engine never executes plans (scripts run as
+/// bytecode), so this walks the operator tree directly: every `ExtendAgg`
+/// scans the environment, every action clause tests every row.
+struct PlanEval<'a> {
+    table: &'a EnvTable,
+    registry: &'a Registry,
+    rng: &'a TickRandom,
+    effects: EffectBuffer,
+}
+
+impl<'a> PlanEval<'a> {
+    fn ctx(&self, unit: &Unit) -> EvalContext<'a> {
+        let row = self.table.row(unit.0 as usize);
+        let mut ctx = EvalContext::new(
+            self.table.schema(),
+            row,
+            self.rng,
+            self.registry.constants(),
+        );
+        for (name, value) in &unit.1 {
+            ctx.bind(name, value.clone());
+        }
+        ctx
+    }
+
+    /// Evaluate a relation-producing node.
+    fn relation(&self, plan: &LogicalPlan, acting: &[Unit]) -> Vec<Unit> {
+        match plan {
+            LogicalPlan::Scan => acting.to_vec(),
+            LogicalPlan::Select { input, predicate } => self
+                .relation(input, acting)
+                .into_iter()
+                .filter(|unit| eval_cond(predicate, &self.ctx(unit), &mut NoAggregates).unwrap())
+                .collect(),
+            LogicalPlan::ExtendExpr { input, name, term } => {
+                let mut units = self.relation(input, acting);
+                for unit in &mut units {
+                    let value = eval_term(term, &self.ctx(unit), &mut NoAggregates).unwrap();
+                    unit.1.push((name.clone(), value));
+                }
+                units
+            }
+            LogicalPlan::ExtendAgg { input, name, call } => {
+                let mut units = self.relation(input, acting);
+                for unit in &mut units {
+                    let ctx = self.ctx(unit);
+                    let def = self.registry.aggregate(&call.name).unwrap();
+                    let args = eval_call_args(&call.args, &ctx).unwrap();
+                    let params = bind_params(&def.name, &def.params, &args).unwrap();
+                    let value = eval_aggregate_scan(def, &params, &ctx, self.table).unwrap();
+                    unit.1.push((name.clone(), value));
+                }
+                units
+            }
+            other => panic!("{other:?} is not a relation-producing node"),
+        }
+    }
+
+    /// Run an effect-producing node.
+    fn run(&mut self, plan: &LogicalPlan, acting: &[Unit]) {
+        match plan {
+            LogicalPlan::CombineWithEnv { input } => self.run(input, acting),
+            LogicalPlan::Combine { inputs } => {
+                for input in inputs {
+                    self.run(input, acting);
+                }
+            }
+            LogicalPlan::Apply {
+                input,
+                action,
+                args,
+            } => {
+                let def = self.registry.action(action).unwrap();
+                let schema = self.table.schema();
+                for unit in self.relation(input, acting) {
+                    let mut ctx = self.ctx(&unit);
+                    let values = eval_call_args(args, &ctx).unwrap();
+                    for (name, value) in bind_params(&def.name, &def.params, &values).unwrap() {
+                        ctx.bind(&name, value);
+                    }
+                    for clause in &def.clauses {
+                        for target in 0..self.table.len() {
+                            let row = self.table.row(target);
+                            let row_ctx = ctx.with_row(row);
+                            if !eval_cond(&clause.filter, &row_ctx, &mut NoAggregates).unwrap() {
+                                continue;
+                            }
+                            for (attr, term) in &clause.effects {
+                                let value = eval_term(term, &row_ctx, &mut NoAggregates).unwrap();
+                                self.effects
+                                    .apply(
+                                        row.key(schema),
+                                        schema.attr_id(attr).unwrap(),
+                                        value.as_scalar().unwrap().clone(),
+                                    )
+                                    .unwrap();
+                            }
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Execute one tick of a plan over the world with every unit acting and
 /// return the canonical effect relation.
 fn effects_of(plan: &LogicalPlan) -> Vec<(i64, sgl::env::AttrId, sgl::env::Value)> {
     let registry = paper_registry();
     let (schema, table) = make_table(36);
     let rng = GameRng::new(5).for_tick(1);
-    let runs = vec![ScriptRun::new(plan, (0..table.len() as u32).collect())];
-    let (effects, _) = execute_tick(&table, &registry, &runs, &rng, &ExecConfig::naive(&schema))
-        .expect("plan executes");
-    effects.canonical()
+    let mut eval = PlanEval {
+        table: &table,
+        registry: &registry,
+        rng: &rng,
+        effects: EffectBuffer::new(schema),
+    };
+    let acting: Vec<Unit> = (0..table.len() as u32)
+        .map(|row| (row, Vec::new()))
+        .collect();
+    eval.run(plan, &acting);
+    eval.effects.canonical()
 }
 
 /// The rewritten plan must be observationally identical to the original.
