@@ -70,6 +70,19 @@ impl PhysicalBackend {
         }
     }
 
+    /// The maintenance choices this backend runs under: maintained grids
+    /// are patched or rebuilt wholesale, materialized answers are patched,
+    /// everything else is rebuilt per tick.
+    pub fn maintenances(self) -> &'static [MaintenanceChoice] {
+        match self {
+            PhysicalBackend::MaintainedGrid => {
+                &[MaintenanceChoice::Incremental, MaintenanceChoice::Rebuild]
+            }
+            PhysicalBackend::Materialized => &[MaintenanceChoice::Incremental],
+            _ => &[MaintenanceChoice::PerTick],
+        }
+    }
+
     /// Index of the backend in [`PhysicalBackend::ALL`] (used for compact
     /// per-backend counters).
     pub fn index(&self) -> usize {
@@ -115,6 +128,40 @@ pub enum StrategyClass {
     MinMax,
     /// Nearest-neighbour argmin.
     Nearest,
+}
+
+impl StrategyClass {
+    /// The backends this class offers, in pricing order.
+    ///
+    /// Nearest/argbest answers are records of arbitrary output terms over
+    /// the winning row; an attribute of that row can change without any
+    /// positional delta, which would silently stale a stored answer, so
+    /// materialization is not offered for them.
+    pub fn backends(self) -> &'static [PhysicalBackend] {
+        use PhysicalBackend::*;
+        match self {
+            StrategyClass::Divisible => {
+                &[Scan, LayeredTree, QuadTree, MaintainedGrid, Materialized]
+            }
+            StrategyClass::MinMax => &[Scan, Sweep, QuadTree, MaintainedGrid, Materialized],
+            StrategyClass::Nearest => &[Scan, KdTree, MaintainedGrid],
+        }
+    }
+
+    /// The paper's per-tick structure for this class (§5.3): the layered
+    /// aggregate range tree, the Figure 9 sweep line, the kD-tree.
+    pub fn paper_backend(self) -> PhysicalBackend {
+        match self {
+            StrategyClass::Divisible => PhysicalBackend::LayeredTree,
+            StrategyClass::MinMax => PhysicalBackend::Sweep,
+            StrategyClass::Nearest => PhysicalBackend::KdTree,
+        }
+    }
+
+    /// Whether `(backend, maintenance)` is one of this class's alternatives.
+    pub fn offers(self, backend: PhysicalBackend, maintenance: MaintenanceChoice) -> bool {
+        self.backends().contains(&backend) && backend.maintenances().contains(&maintenance)
+    }
 }
 
 /// Calibration constants of the cost model, in microseconds per elementary
@@ -211,9 +258,6 @@ pub struct CallSiteInputs {
     /// Categorical partitions behind the hash layer (structures built per
     /// tick per partition).
     pub partitions: f64,
-    /// Whether layered trees use fractional cascading (probe drops from
-    /// `log²n` to `log n`).
-    pub cascading: bool,
 }
 
 impl CallSiteInputs {
@@ -260,11 +304,8 @@ fn scan_alt(i: &CallSiteInputs, c: &CostConstants) -> CostedAlternative {
 }
 
 fn layered_alt(i: &CallSiteInputs, c: &CostConstants) -> CostedAlternative {
-    let probe_levels = if i.cascading {
-        3.0 * i.log_n()
-    } else {
-        i.log_n() * i.log_n()
-    };
+    // Fractional cascading drops the probe from `log²n` to `~3·log n` steps.
+    let probe_levels = 3.0 * i.log_n();
     CostedAlternative {
         backend: PhysicalBackend::LayeredTree,
         maintenance: MaintenanceChoice::PerTick,
@@ -347,38 +388,32 @@ fn kd_alt(i: &CallSiteInputs, c: &CostConstants) -> CostedAlternative {
     }
 }
 
-/// Price every legal alternative of a call site, in deterministic order.
+/// Price every alternative a call site's class offers, in the order of
+/// [`StrategyClass::backends`].
 pub fn price_alternatives(
     class: StrategyClass,
     inputs: &CallSiteInputs,
     constants: &CostConstants,
 ) -> Vec<CostedAlternative> {
-    match class {
-        StrategyClass::Divisible => vec![
-            scan_alt(inputs, constants),
-            layered_alt(inputs, constants),
-            quad_alt(inputs, constants),
-            grid_alt(inputs, constants, inputs.selectivity * inputs.n()),
-            materialized_alt(inputs, constants),
-        ],
-        StrategyClass::MinMax => vec![
-            scan_alt(inputs, constants),
-            sweep_alt(inputs, constants),
-            quad_alt(inputs, constants),
-            grid_alt(inputs, constants, inputs.selectivity * inputs.n()),
-            materialized_alt(inputs, constants),
-        ],
-        // Nearest/argbest answers are records of arbitrary output terms over
-        // the winning row; an attribute of that row can change without any
-        // positional delta, which would silently stale a stored answer, so
-        // materialization is not a legal alternative here.
-        StrategyClass::Nearest => vec![
-            scan_alt(inputs, constants),
-            kd_alt(inputs, constants),
-            // A grid nearest probe ring-walks ~√n cells in the worst case.
-            grid_alt(inputs, constants, inputs.n().sqrt()),
-        ],
-    }
+    // A grid nearest probe ring-walks ~√n cells in the worst case; range
+    // probes fold the ~s·n matched rows.
+    let grid_probe_rows = match class {
+        StrategyClass::Nearest => inputs.n().sqrt(),
+        _ => inputs.selectivity * inputs.n(),
+    };
+    class
+        .backends()
+        .iter()
+        .map(|backend| match backend {
+            PhysicalBackend::Scan => scan_alt(inputs, constants),
+            PhysicalBackend::LayeredTree => layered_alt(inputs, constants),
+            PhysicalBackend::QuadTree => quad_alt(inputs, constants),
+            PhysicalBackend::MaintainedGrid => grid_alt(inputs, constants, grid_probe_rows),
+            PhysicalBackend::Sweep => sweep_alt(inputs, constants),
+            PhysicalBackend::KdTree => kd_alt(inputs, constants),
+            PhysicalBackend::Materialized => materialized_alt(inputs, constants),
+        })
+        .collect()
 }
 
 /// The cheapest alternative (ties break toward the earlier entry, i.e. the
@@ -404,7 +439,6 @@ mod tests {
             selectivity: s,
             update_rate: u,
             partitions: 2.0,
-            cascading: true,
         }
     }
 
@@ -514,6 +548,34 @@ mod tests {
         ) {
             assert_ne!(alt.backend, PhysicalBackend::Materialized);
         }
+    }
+
+    #[test]
+    fn pins_are_offered_where_priced() {
+        let c = CostConstants::default();
+        for class in [
+            StrategyClass::Divisible,
+            StrategyClass::MinMax,
+            StrategyClass::Nearest,
+        ] {
+            for alt in price_alternatives(class, &inputs(100.0, 50.0, 0.2, 0.4), &c) {
+                assert!(
+                    class.offers(alt.backend, alt.maintenance),
+                    "{class:?} {alt:?}"
+                );
+            }
+            assert!(class.offers(class.paper_backend(), MaintenanceChoice::PerTick));
+            assert!(class.offers(PhysicalBackend::MaintainedGrid, MaintenanceChoice::Rebuild));
+            assert!(!class.offers(PhysicalBackend::MaintainedGrid, MaintenanceChoice::PerTick));
+        }
+        assert!(!StrategyClass::Nearest.offers(
+            PhysicalBackend::Materialized,
+            MaintenanceChoice::Incremental
+        ));
+        assert!(
+            !StrategyClass::MinMax.offers(PhysicalBackend::LayeredTree, MaintenanceChoice::PerTick)
+        );
+        assert!(StrategyClass::MinMax.offers(PhysicalBackend::QuadTree, MaintenanceChoice::PerTick));
     }
 
     #[test]

@@ -158,8 +158,8 @@ impl BattleScenario {
     }
 
     /// Build a simulation under an explicit executor configuration (the
-    /// conformance and golden-digest suites sweep the full policy × backend
-    /// × parallelism lattice).
+    /// conformance and golden-digest suites sweep the full pin × parallelism
+    /// lattice).
     pub fn build_with_config(&self, exec: ExecConfig) -> Simulation {
         let registry = battle_registry();
         let mechanics = battle_mechanics(&self.schema, self.world_side, self.config.resurrect);

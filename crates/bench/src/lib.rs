@@ -25,7 +25,7 @@ use std::time::Instant;
 use sgl_battle::{BattleScenario, ScenarioConfig};
 use sgl_core::algebra::cost::CostConstants;
 use sgl_core::engine::{PhaseTimings, Simulation};
-use sgl_core::exec::{ExecConfig, PlannerMode};
+use sgl_core::exec::{ExecConfig, MaintenanceChoice, PhysicalBackend, PlannerMode};
 use sgl_index::agg_tree::{AggEntry, LayeredAggTree};
 use sgl_index::grid::DynamicAggGrid;
 use sgl_index::kdtree::KdTree;
@@ -269,12 +269,18 @@ fn build_sentry(scenario: &BattleScenario, exec: ExecConfig) -> Simulation {
     .expect("sentry script compiles")
 }
 
+/// The scenario configuration pinning `backend`, incrementally maintained
+/// (the `incremental` and `materialized` scenario families).
+fn pinned(s: &BattleScenario, backend: PhysicalBackend) -> ExecConfig {
+    ExecConfig::indexed(&s.schema)
+        .with_planner(PlannerMode::Pin(backend, MaintenanceChoice::Incremental))
+}
+
 /// The fixed scenario list: one naive anchor, the tracked bytecode-VM
 /// configurations, and a materialized-answer twin for three of them.
 /// Everything is seeded; the simulated battles are bit-reproducible, only
 /// the wall clock varies.
 fn scenario_specs() -> Vec<ScenarioSpec> {
-    use sgl_core::exec::MaintenancePolicy::Incremental;
     vec![
         ScenarioSpec {
             name: ANCHOR_SCENARIO,
@@ -301,7 +307,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::BattleDefault,
-            config: |s| ExecConfig::indexed(&s.schema).with_policy(Incremental),
+            config: |s| pinned(s, PhysicalBackend::MaintainedGrid),
         },
         ScenarioSpec {
             name: "compiled_sparse_800",
@@ -310,7 +316,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::BattleDefault,
-            config: |s| ExecConfig::indexed(&s.schema).with_policy(Incremental),
+            config: |s| pinned(s, PhysicalBackend::MaintainedGrid),
         },
         ScenarioSpec {
             name: "compiled_steering_600",
@@ -319,7 +325,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::Steering,
-            config: |s| ExecConfig::indexed(&s.schema).with_policy(Incremental),
+            config: |s| pinned(s, PhysicalBackend::MaintainedGrid),
         },
         ScenarioSpec {
             name: "compiled_costbased_400",
@@ -344,9 +350,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::BattleDefault,
-            config: |s| {
-                ExecConfig::cost_based(&s.schema).with_planner(PlannerMode::ForceMaterialized)
-            },
+            config: |s| pinned(s, PhysicalBackend::Materialized),
         },
         ScenarioSpec {
             name: "materialized_incremental_400",
@@ -355,9 +359,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::BattleDefault,
-            config: |s| {
-                ExecConfig::cost_based(&s.schema).with_planner(PlannerMode::ForceMaterialized)
-            },
+            config: |s| pinned(s, PhysicalBackend::Materialized),
         },
         // The low-churn pair the materialized gate enforces: a stationary
         // sentry garrison in a sparse world.  Subscription rectangles never
@@ -371,7 +373,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::Sentry,
-            config: |s| ExecConfig::indexed(&s.schema).with_policy(Incremental),
+            config: |s| pinned(s, PhysicalBackend::MaintainedGrid),
         },
         ScenarioSpec {
             name: "materialized_calm_1600",
@@ -380,9 +382,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             ticks: 25,
             tracked: true,
             roster: ScriptRoster::Sentry,
-            config: |s| {
-                ExecConfig::cost_based(&s.schema).with_planner(PlannerMode::ForceMaterialized)
-            },
+            config: |s| pinned(s, PhysicalBackend::Materialized),
         },
     ]
 }

@@ -147,7 +147,8 @@ impl GameBuilder {
         }
     }
 
-    /// Choose the execution configuration (naive / indexed, cascading, ...).
+    /// Choose the execution configuration (naive / indexed, pinned or
+    /// cost-based, ...).
     pub fn exec_config(mut self, exec: ExecConfig) -> GameBuilder {
         self.exec = exec;
         self

@@ -18,7 +18,7 @@
 //!    tick's effect relation) back to the cross-tick
 //!    [`sgl_exec::IndexManager`], so maintained index structures absorb the
 //!    tick's positional and value updates before the next tick probes them
-//!    (a no-op under the rebuild-each-tick policy).
+//!    (a no-op while every call site is rebuilt per tick).
 
 //!
 //! Supporting modules: [`metrics`] (per-phase timings, throughput/capacity
@@ -41,10 +41,10 @@ use sgl_algebra::cost::CostConstants;
 use sgl_algebra::{explain_with_costs, CostAnnotation, LogicalPlan};
 use sgl_env::{AttrId, EnvTable, GameRng, PostProcessor, Value};
 use sgl_exec::{
-    choose_physical, compile_script, execute_tick_oracle, execute_tick_planned, force_materialized,
-    plan_registry, strategy_class, CompiledScript, ExecConfig, ExecMode, IndexManager, MaintStats,
-    MaintenancePolicy, OracleRun, Parallelism, PlannedAggregate, PlannerMode, RuntimeStats,
-    ScriptRun, TickObservations, TickStats,
+    choose_physical, compile_script, execute_tick_oracle, execute_tick_planned, plan_registry,
+    strategy_class, CompiledScript, ExecConfig, ExecMode, IndexManager, MaintStats, OracleRun,
+    Parallelism, PlannedAggregate, PlannerMode, RuntimeStats, ScriptRun, TickObservations,
+    TickStats,
 };
 use sgl_lang::normalize::NormalScript;
 use sgl_lang::Registry;
@@ -203,7 +203,7 @@ pub struct Simulation {
     mechanics: Mechanics,
     exec_config: ExecConfig,
     /// Cross-tick owner of the aggregate index structures; persists across
-    /// [`Simulation::step`] calls so maintained policies can patch instead
+    /// [`Simulation::step`] calls so maintained call sites can patch instead
     /// of rebuild.
     index_manager: IndexManager,
     /// Aggregate plans and registry constants, cached across ticks (they
@@ -333,7 +333,7 @@ impl Simulation {
         &mut self.table
     }
 
-    /// The cross-tick index manager (policy and maintenance statistics).
+    /// The cross-tick index manager (maintained state and its statistics).
     pub fn index_manager(&self) -> &IndexManager {
         &self.index_manager
     }
@@ -359,7 +359,7 @@ impl Simulation {
     }
 
     /// Change the execution configuration (e.g. switch naive ↔ indexed, or
-    /// change the maintenance policy).  Resets the index manager.  Fails
+    /// pin another physical backend).  Resets the index manager.  Fails
     /// with [`EngineError::Compile`], leaving the simulation unchanged, if a
     /// script does not lower under `config`.
     pub fn set_exec_config(&mut self, config: ExecConfig) -> Result<()> {
@@ -396,52 +396,20 @@ impl Simulation {
     }
 
     /// The current physical choice of every aggregate call site, sorted by
-    /// name: `(call name, backend label, maintenance label)`.  Under the
-    /// heuristic planner the labels are derived from the configuration.
+    /// name: `(call name, backend label, maintenance label)`.  Call sites
+    /// without a choice (scans, naive execution, a cost-based planner that
+    /// has not priced yet) report `scan` / `per-tick`.
     pub fn physical_choices(&self) -> Vec<(String, String, String)> {
         let mut out: Vec<(String, String, String)> = self
             .planned
             .iter()
             .map(|(name, plan)| {
-                let (chosen, maintenance) = self.choice_labels(plan);
+                let (chosen, maintenance) = choice_labels(plan);
                 (name.clone(), chosen, maintenance)
             })
             .collect();
         out.sort();
         out
-    }
-
-    /// Backend / maintenance labels of one plan (cost-based choice when
-    /// installed, otherwise the heuristic mapping).
-    fn choice_labels(&self, plan: &PlannedAggregate) -> (String, String) {
-        if let Some(choice) = &plan.choice {
-            return (
-                choice.backend.label().to_string(),
-                choice.maintenance.label().to_string(),
-            );
-        }
-        let policy_label = match self.exec_config.policy {
-            MaintenancePolicy::RebuildEachTick => "per-tick",
-            MaintenancePolicy::Incremental => "incremental",
-            MaintenancePolicy::Adaptive { .. } => "adaptive",
-        };
-        use sgl_exec::AggStrategy;
-        let backend = match (&plan.strategy, self.exec_config.mode) {
-            (AggStrategy::Scan, _) | (_, ExecMode::Naive | ExecMode::Oracle) => "scan",
-            (_, _) if self.exec_config.policy.is_dynamic() => "grid",
-            (AggStrategy::DivisibleTree { .. }, _) => match self.exec_config.backend {
-                sgl_exec::RebuildBackend::LayeredTree => "layered-tree",
-                sgl_exec::RebuildBackend::QuadTree => "quadtree",
-            },
-            (AggStrategy::SweepMinMax, _) => "sweep",
-            (AggStrategy::KdNearest, _) => "kd-tree",
-        };
-        let maintenance = if backend == "scan" {
-            "per-tick"
-        } else {
-            policy_label
-        };
-        (backend.to_string(), maintenance.to_string())
     }
 
     /// The [`CostAnnotation`] of every aggregate call site: the planned
@@ -457,10 +425,13 @@ impl Simulation {
                 sgl_exec::AggStrategy::KdNearest => "kd-nearest",
                 sgl_exec::AggStrategy::Scan => "scan",
             };
-            let (chosen, maintenance) = self.choice_labels(plan);
+            let (chosen, maintenance) = choice_labels(plan);
             let (est_us, mut alternatives) = match &plan.choice {
                 Some(choice) => (
-                    Some(choice.est_us),
+                    self.exec_config
+                        .planner
+                        .is_cost_based()
+                        .then_some(choice.est_us),
                     choice
                         .alternatives
                         .iter()
@@ -553,44 +524,30 @@ impl Simulation {
         // physical plan.
         let mut planner_recosts = 0usize;
         let mut plan_switches = 0usize;
-        match self.exec_config.planner {
-            PlannerMode::CostBased(window) if self.exec_config.mode.uses_indexes() => {
-                let unpriced = self
-                    .planned
-                    .values()
-                    .any(|p| p.choice.is_none() && strategy_class(&p.strategy).is_some());
-                if self.tick.is_multiple_of(u64::from(window.ticks)) || unpriced {
-                    let before = self.maintained_profile();
-                    plan_switches = choose_physical(
-                        &mut self.planned,
-                        &self.runtime_stats,
-                        &self.cost_constants,
-                        self.table.len(),
-                        self.exec_config.cascading,
-                    );
-                    planner_recosts = 1;
-                    // Only switches that change which call sites are
-                    // maintained (or how) need a re-sync; swaps between
-                    // per-tick backends leave the maintained state valid.
-                    if plan_switches > 0 && before != self.maintained_profile() {
-                        self.index_manager.mark_stale();
-                    }
-                }
-            }
-            PlannerMode::ForceMaterialized if self.exec_config.mode.uses_indexes() => {
-                // Idempotent: after the first tick every legal site already
-                // carries the materialized choice and this returns 0.
+        if let (PlannerMode::CostBased(window), true) = (
+            self.exec_config.planner,
+            self.exec_config.mode.uses_indexes(),
+        ) {
+            let unpriced = self
+                .planned
+                .values()
+                .any(|p| p.choice.is_none() && strategy_class(&p.strategy).is_some());
+            if self.tick.is_multiple_of(u64::from(window.ticks)) || unpriced {
                 let before = self.maintained_profile();
-                let switches = force_materialized(&mut self.planned);
-                if switches > 0 {
-                    plan_switches = switches;
-                    planner_recosts = 1;
-                    if before != self.maintained_profile() {
-                        self.index_manager.mark_stale();
-                    }
+                plan_switches = choose_physical(
+                    &mut self.planned,
+                    &self.runtime_stats,
+                    &self.cost_constants,
+                    self.table.len(),
+                );
+                planner_recosts = 1;
+                // Only switches that change which call sites are
+                // maintained (or how) need a re-sync; swaps between
+                // per-tick backends leave the maintained state valid.
+                if plan_switches > 0 && before != self.maintained_profile() {
+                    self.index_manager.mark_stale();
                 }
             }
-            _ => {}
         }
         // Assign acting units to scripts.
         let mut assigned: Vec<bool> = vec![false; self.table.len()];
@@ -607,7 +564,7 @@ impl Simulation {
         }
 
         // Decision + action phases (including per-tick index building and,
-        // on the first tick of a maintained policy, the initial structure
+        // on the first tick of a maintained call site, the initial structure
         // build).  The oracle mode bypasses the VM entirely and interprets
         // the registered scripts' normalized ASTs.
         let phase_start = Instant::now();
@@ -691,12 +648,12 @@ impl Simulation {
         // relation, for accounting) back to the manager so maintained
         // structures absorb this tick's positional and value updates before
         // the next tick probes them.  Which call sites are maintained is
-        // decided per plan (globally by the policy, or per call site by the
-        // cost-based planner's choices).
-        let wants_maintenance = self.planned.values().any(|p| {
-            self.index_manager.plan_is_maintained(p) || self.index_manager.plan_is_materialized(p)
-        });
-        if wants_maintenance {
+        // decided per call site by its physical choice.
+        if self
+            .planned
+            .values()
+            .any(PlannedAggregate::needs_maintenance)
+        {
             let phase_start = Instant::now();
             let maint = self.maintain_indexes(&effects)?;
             exec_stats.index_delta_ops += maint.delta_ops;
@@ -775,10 +732,7 @@ impl Simulation {
         let mut out: Vec<(String, Option<sgl_algebra::MaintenanceChoice>)> = self
             .planned
             .iter()
-            .filter(|(_, plan)| {
-                self.index_manager.plan_is_maintained(plan)
-                    || self.index_manager.plan_is_materialized(plan)
-            })
+            .filter(|(_, plan)| plan.needs_maintenance())
             .map(|(name, plan)| (name.clone(), plan.choice.as_ref().map(|c| c.maintenance)))
             .collect();
         out.sort();
@@ -899,8 +853,7 @@ impl Simulation {
     /// Restore the run state saved by [`Simulation::checkpoint`] into this
     /// simulation and continue under `config` — which may differ from the
     /// writer's configuration in any behaviour-neutral knob (parallelism,
-    /// maintenance policy, rebuild backend, planner mode, even naive vs
-    /// indexed): the conformance lattice proves every configuration computes
+    /// pinned backend, planner mode, even naive vs indexed): the conformance lattice proves every configuration computes
     /// the same game, so the resumed trajectory is digest-identical to an
     /// uninterrupted run regardless.
     ///
@@ -942,7 +895,7 @@ impl Simulation {
         let stats = sgl_exec::checkpoint::import_runtime_stats(
             reader.require(section::STATS, "runtime statistics")?,
         )?;
-        let (_writer_planner, choices) = sgl_exec::checkpoint::import_planner_state(
+        let choices = sgl_exec::checkpoint::import_planner_state(
             reader.require(section::PLANNER, "planner state")?,
         )?;
         let maint = sgl_exec::checkpoint::import_maint_stats(
@@ -952,26 +905,13 @@ impl Simulation {
         // Assemble the resumed plan and index state on the side, so *every*
         // fallible step — including index reconstruction — happens before
         // any of this simulation's state is replaced.
+        // A pinned `config` installs its pin here; a cost-based one continues
+        // under the writer's physical plan, so a resume mid re-costing window
+        // does not re-bootstrap from priors (the next window boundary
+        // re-prices as usual).
         let mut planned = plan_registry(&self.registry, &table, &config);
-        if config.mode.uses_indexes() {
-            match config.planner {
-                // Continue under the writer's physical plan so a resume mid
-                // re-costing window does not re-bootstrap from priors; the
-                // next window boundary re-prices as usual.
-                PlannerMode::CostBased(_) => {
-                    sgl_exec::checkpoint::install_choices(&mut planned, choices);
-                }
-                // The forced mapping is deterministic — derive it rather
-                // than trusting the writer's choices, so a migration from
-                // any planner mode lands on the same plan.
-                PlannerMode::ForceMaterialized => {
-                    force_materialized(&mut planned);
-                }
-                // Under a heuristic resume configuration the choices are
-                // dropped — the heuristic mapping is the configuration's
-                // explicit request.
-                PlannerMode::Heuristic => {}
-            }
+        if config.mode.uses_indexes() && config.planner.is_cost_based() {
+            sgl_exec::checkpoint::install_choices(&mut planned, choices);
         }
         // Deterministic index reconstruction + eager resume-time validation:
         // rebuild whatever maintained structures the resumed physical plan
@@ -980,10 +920,7 @@ impl Simulation {
         // maintained structures answer identically — the equivalence suites
         // prove it — so reconstruction never changes the game.)
         let mut index_manager = IndexManager::new(&config);
-        if planned
-            .values()
-            .any(|p| index_manager.plan_is_maintained(p) || index_manager.plan_is_materialized(p))
-        {
+        if planned.values().any(PlannedAggregate::needs_maintenance) {
             index_manager.prepare(&table, &planned, &self.constants)?;
         }
         // Restore the writer's maintenance counters on top of the
@@ -1018,6 +955,18 @@ impl Simulation {
     }
 }
 
+/// Backend / maintenance labels of one plan's installed choice (`scan` /
+/// `per-tick` without one).
+fn choice_labels(plan: &PlannedAggregate) -> (String, String) {
+    match &plan.choice {
+        Some(choice) => (
+            choice.backend.label().to_string(),
+            choice.maintenance.label().to_string(),
+        ),
+        None => ("scan".to_string(), "per-tick".to_string()),
+    }
+}
+
 /// Aggregate statistics over a multi-tick run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunSummary {
@@ -1039,6 +988,7 @@ mod tests {
     use sgl_algebra::{optimize, translate};
     use sgl_env::postprocess::PostProcessor;
     use sgl_env::{schema::paper_schema, Schema, TupleBuilder, UpdateExpr};
+    use sgl_exec::{MaintenanceChoice, PhysicalBackend};
     use sgl_lang::builtins::paper_registry;
     use sgl_lang::normalize::normalize;
     use sgl_lang::parse_script;
@@ -1187,9 +1137,16 @@ mod tests {
         }
     }
 
+    fn pinned(
+        schema: &Schema,
+        backend: PhysicalBackend,
+        maintenance: MaintenanceChoice,
+    ) -> ExecConfig {
+        ExecConfig::indexed(schema).with_planner(PlannerMode::Pin(backend, maintenance))
+    }
+
     #[test]
     fn maintenance_policies_agree_with_rebuild_across_ticks() {
-        use sgl_exec::MaintenancePolicy;
         let (_, mut rebuild) = build_sim(28, true);
         let reference: Vec<crate::replay::StateDigest> = (0..6)
             .map(|_| {
@@ -1197,23 +1154,24 @@ mod tests {
                 rebuild.digest()
             })
             .collect();
-        for policy in [
-            MaintenancePolicy::Incremental,
-            MaintenancePolicy::adaptive(),
-        ] {
+        for maintenance in [MaintenanceChoice::Incremental, MaintenanceChoice::Rebuild] {
             let (schema, mut sim) = build_sim(28, true);
-            sim.set_exec_config(ExecConfig::indexed(&schema).with_policy(policy))
-                .unwrap();
+            sim.set_exec_config(pinned(
+                &schema,
+                PhysicalBackend::MaintainedGrid,
+                maintenance,
+            ))
+            .unwrap();
             for (tick, expected) in reference.iter().enumerate() {
                 let report = sim.step().unwrap();
                 assert_eq!(
                     sim.digest(),
                     *expected,
-                    "policy {policy:?} diverged at tick {tick}"
+                    "grid {maintenance:?} diverged at tick {tick}"
                 );
-                assert_eq!(report.exec.naive_scans, 0, "{policy:?}");
+                assert_eq!(report.exec.naive_scans, 0, "{maintenance:?}");
             }
-            // The maintained policies actually maintained something.
+            // The maintained grids actually maintained something.
             let total_deltas: usize = sim
                 .history()
                 .iter()
@@ -1221,27 +1179,27 @@ mod tests {
                 .sum();
             assert!(
                 total_deltas > 0,
-                "{policy:?} never touched maintained state"
+                "{maintenance:?} never touched maintained state"
             );
-            assert!(sim.index_manager().policy().is_dynamic());
             assert!(
                 sim.index_manager().maintained_aggregates() > 0,
-                "{policy:?}"
+                "{maintenance:?}"
             );
         }
     }
 
     #[test]
     fn maintenance_timings_are_recorded_for_dynamic_policies() {
-        use sgl_exec::MaintenancePolicy;
         let (schema, mut sim) = build_sim(20, true);
-        sim.set_exec_config(
-            ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental),
-        )
+        sim.set_exec_config(pinned(
+            &schema,
+            PhysicalBackend::MaintainedGrid,
+            MaintenanceChoice::Incremental,
+        ))
         .unwrap();
         sim.run(3).unwrap();
         // The maintain phase ran (its duration is part of every report); the
-        // rebuild policy leaves it at zero.
+        // per-tick paper structures leave it at zero.
         let (_, mut plain) = build_sim(20, true);
         plain.run(3).unwrap();
         for report in plain.history() {
@@ -1377,7 +1335,6 @@ mod tests {
 
     #[test]
     fn resume_under_a_different_config_is_digest_identical() {
-        use sgl_exec::MaintenancePolicy;
         let (_, mut reference) = build_sim(24, true);
         let digests: Vec<crate::replay::StateDigest> = (0..7)
             .map(|_| {
@@ -1390,14 +1347,16 @@ mod tests {
             writer.step().unwrap();
         }
         let bytes = writer.checkpoint().unwrap();
-        // Writer ran rebuild-each-tick serial; resume under incremental
-        // maintenance with 4 worker threads.
+        // Writer ran the paper's per-tick structures serially; resume under
+        // incrementally maintained grids with 4 worker threads.
         let (schema, mut resumed) = build_sim(24, true);
-        let config = ExecConfig::indexed(&schema)
-            .with_policy(MaintenancePolicy::Incremental)
-            .with_parallelism(Parallelism::Threads(4));
+        let config = pinned(
+            &schema,
+            PhysicalBackend::MaintainedGrid,
+            MaintenanceChoice::Incremental,
+        )
+        .with_parallelism(Parallelism::Threads(4));
         resumed.resume(&bytes, config).unwrap();
-        assert!(resumed.index_manager().policy().is_dynamic());
         for (tick, expected) in digests.iter().enumerate().skip(4) {
             resumed.step().unwrap();
             assert_eq!(
@@ -1410,19 +1369,28 @@ mod tests {
         assert!(resumed.index_manager().maintained_aggregates() > 0);
     }
 
-    /// Maintained grids (`getNearestEnemy`) and materialized answers
-    /// (`CountEnemiesInRange`) live side by side on the shared mirror.
-    fn mixed_sites_config(schema: &Schema) -> ExecConfig {
-        ExecConfig::indexed(schema)
-            .with_policy(sgl_exec::MaintenancePolicy::Incremental)
-            .with_planner(sgl_exec::PlannerMode::ForceMaterialized)
+    /// Pin materialized answers wherever offered (`CountEnemiesInRange`, ...)
+    /// and hand `getNearestEnemy` an incrementally maintained grid, so both
+    /// live side by side on the shared mirror — a mix only the cost-based
+    /// planner produces on its own.
+    fn set_mixed_sites(sim: &mut Simulation, schema: &Schema) {
+        let config = pinned(
+            schema,
+            PhysicalBackend::Materialized,
+            MaintenanceChoice::Incremental,
+        );
+        sim.set_exec_config(config).unwrap();
+        let nearest = sim.planned.get_mut("getNearestEnemy").unwrap();
+        let choice = nearest.choice.as_mut().unwrap();
+        choice.backend = PhysicalBackend::MaintainedGrid;
+        choice.maintenance = MaintenanceChoice::Incremental;
     }
 
     #[test]
     fn shared_mirror_tracks_deaths_and_out_of_band_edits() {
         let (schema, mut reference) = build_sim(40, true);
         let (_, mut mixed) = build_sim(40, true);
-        mixed.set_exec_config(mixed_sites_config(&schema)).unwrap();
+        set_mixed_sites(&mut mixed, &schema);
         let edit = |table: &mut EnvTable| {
             let key = table.schema().key_attr();
             table
@@ -1467,14 +1435,19 @@ mod tests {
             })
             .collect();
         let (_, mut writer) = build_sim(32, true);
-        writer.set_exec_config(mixed_sites_config(&schema)).unwrap();
+        set_mixed_sites(&mut writer, &schema);
         for _ in 0..4 {
             writer.step().unwrap();
         }
         let bytes = writer.checkpoint().unwrap();
+        // A cost-based resume continues under the writer's mixed choices
+        // until its first window boundary (far away here).
         let (_, mut resumed) = build_sim(32, true);
-        resumed.resume(&bytes, mixed_sites_config(&schema)).unwrap();
+        let config = ExecConfig::cost_based(&schema).with_planner(PlannerMode::cost_based(1000));
+        resumed.resume(&bytes, config).unwrap();
+        assert_eq!(resumed.physical_choices(), writer.physical_choices());
         assert!(resumed.index_manager().maintained_aggregates() > 0);
+        assert!(resumed.index_manager().materialized_sites() > 0);
         resumed.step().unwrap();
         writer.step().unwrap();
         assert_eq!(resumed.digest(), digests[4]);
@@ -1554,7 +1527,6 @@ mod tests {
 
     #[test]
     fn checkpoint_carries_runtime_stats_and_planner_choices() {
-        use sgl_exec::PlannerMode;
         let (schema, mut writer) = build_sim(30, true);
         writer
             .set_exec_config(

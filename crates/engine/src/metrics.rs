@@ -28,8 +28,8 @@ pub struct PhaseTimings {
     /// Resurrection rule.
     pub resurrect: Duration,
     /// Cross-tick index maintenance (diff + delta application / partition
-    /// rebuilds) performed after the mutation phases; zero under the
-    /// rebuild-each-tick policy.
+    /// rebuilds) performed after the mutation phases; zero while every call
+    /// site is rebuilt per tick.
     pub maintain: Duration,
 }
 

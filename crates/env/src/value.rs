@@ -194,6 +194,21 @@ impl Value {
         }
     }
 
+    /// Partial comparison used by SGL's ordering conditions (`<`, `<=`, `>`,
+    /// `>=`): like [`Value::compare`], but a NaN operand is unordered
+    /// (`None`), so every ordering condition on it is false — the same
+    /// semantics as IEEE comparison, and the one the spatial indexes apply
+    /// when they keep NaN positions out of every rectangle.
+    pub fn partial_compare(&self, other: &Value) -> Result<Option<Ordering>> {
+        match (self, other) {
+            (Value::Str(a), Value::Str(b)) => Ok(Some(a.cmp(b))),
+            (Value::Str(_), _) | (_, Value::Str(_)) => Err(EnvError::TypeError(
+                "cannot compare a string with a number".into(),
+            )),
+            _ => Ok(self.as_f64()?.partial_cmp(&other.as_f64()?)),
+        }
+    }
+
     /// Equality used by SGL conditions (numeric equality across Int/Float).
     pub fn loose_eq(&self, other: &Value) -> bool {
         match (self, other) {
@@ -323,6 +338,20 @@ mod tests {
             Value::str("a").compare(&Value::str("b")).unwrap(),
             Ordering::Less
         );
+    }
+
+    #[test]
+    fn nan_is_unordered_under_partial_comparison() {
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan.partial_compare(&Value::Int(1)).unwrap(), None);
+        assert_eq!(Value::Int(1).partial_compare(&nan).unwrap(), None);
+        assert_eq!(
+            Value::Int(2).partial_compare(&Value::Float(3.5)).unwrap(),
+            Some(Ordering::Less)
+        );
+        assert!(Value::str("a").partial_compare(&Value::Int(1)).is_err());
+        // The total comparison (used by min/max combine) is unchanged.
+        assert_eq!(nan.compare(&Value::Int(1)).unwrap(), Ordering::Equal);
     }
 
     #[test]

@@ -167,7 +167,9 @@ pub fn eval_aggregate_scan(
             // with the **smallest key** wins.  The indexed strategies
             // (kD-trees, maintained grids) reproduce exactly this rule, so
             // argmin over duplicated positions is deterministic across every
-            // executor configuration.
+            // executor configuration.  A NaN rank is unordered and never
+            // wins (a NaN position is no one's nearest unit, and a unit at a
+            // NaN position has no nearest unit), as in the indexes.
             let mut best: Option<(f64, i64, usize)> = None;
             let schema = unit_ctx.schema;
             for (idx, row) in table.iter() {
@@ -178,6 +180,9 @@ pub fn eval_aggregate_scan(
                 let r = eval_term(rank, &row_ctx, &mut no_aggs)?
                     .as_scalar()?
                     .as_f64()?;
+                if r.is_nan() {
+                    continue;
+                }
                 let key = row.key(schema);
                 let better = match best {
                     None => true,

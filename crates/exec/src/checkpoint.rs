@@ -8,10 +8,10 @@
 //!   Without it a resumed planner would re-bootstrap from priors and could
 //!   (harmlessly but observably in `explain`) choose different backends for
 //!   a few windows.
-//! * the installed per-call-site [`PhysicalChoice`]s and the writer's
-//!   [`PlannerMode`] — so a resume *mid* re-costing window continues under
-//!   the exact physical plan the writer was executing, and the next re-cost
-//!   happens at the same tick boundary it would have anyway.
+//! * the installed per-call-site [`PhysicalChoice`]s — so a cost-based
+//!   resume *mid* re-costing window continues under the exact physical plan
+//!   the writer was executing, and the next re-cost happens at the same
+//!   tick boundary it would have anyway.
 //! * the [`MaintStats`] counters of the most recent maintenance pass, for
 //!   monitoring continuity across a migration.
 //!
@@ -28,7 +28,7 @@ use sgl_algebra::cost::{MaintenanceChoice, PhysicalBackend};
 use sgl_env::checkpoint::{ByteReader, ByteWriter};
 use sgl_env::{EnvError, Result};
 
-use crate::config::{AdaptiveWindow, PlannerMode};
+use crate::config::PlannerMode;
 use crate::indexes::MaintStats;
 use crate::planner::{strategy_class, PhysicalChoice, PlannedAggregate};
 use crate::stats::{CallSiteStats, RuntimeStats, BACKEND_COUNT};
@@ -152,6 +152,13 @@ pub fn import_runtime_stats(bytes: &[u8]) -> Result<RuntimeStats> {
 /// One decoded planner entry: call-site name and its installed choice.
 pub type ImportedChoice = (String, PhysicalChoice);
 
+/// Planner-mode codes of the section header.  Readers skip the header
+/// (resume follows its own configuration), but still reject unknown codes;
+/// codes 0 (heuristic) and 2 (forced materialization) are what older
+/// writers emitted for planners since folded into pins.
+const MODE_COST_BASED: u8 = 1;
+const MODE_PIN: u8 = 3;
+
 /// Serialize the writer's planner mode and every installed physical choice,
 /// sorted by call-site name.
 pub fn export_planner_state(
@@ -160,16 +167,12 @@ pub fn export_planner_state(
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match planner {
-        PlannerMode::Heuristic => {
-            w.u8(0);
-            w.u32(0);
-        }
         PlannerMode::CostBased(window) => {
-            w.u8(1);
+            w.u8(MODE_COST_BASED);
             w.u32(window.ticks);
         }
-        PlannerMode::ForceMaterialized => {
-            w.u8(2);
+        PlannerMode::Pin(..) => {
+            w.u8(MODE_PIN);
             w.u32(0);
         }
     }
@@ -192,26 +195,18 @@ pub fn export_planner_state(
     w.finish()
 }
 
-/// Decode planner state written by [`export_planner_state`]: the writer's
-/// planner mode plus the installed choices (with empty alternative lists —
-/// alternatives are re-priced at the next re-costing pass).
-pub fn import_planner_state(bytes: &[u8]) -> Result<(PlannerMode, Vec<ImportedChoice>)> {
+/// Decode the installed choices of a planner section written by
+/// [`export_planner_state`] (with empty alternative lists — alternatives are
+/// re-priced at the next re-costing pass).  The writer's mode is checked
+/// and skipped.
+pub fn import_planner_state(bytes: &[u8]) -> Result<Vec<ImportedChoice>> {
     let mut r = ByteReader::new(bytes);
-    let mode = match r.u8("planner mode")? {
-        0 => {
+    match r.u8("planner mode")? {
+        0..=MODE_PIN => {
             let _ = r.u32("planner window")?;
-            PlannerMode::Heuristic
-        }
-        1 => {
-            let ticks = r.u32("planner window")?;
-            PlannerMode::CostBased(AdaptiveWindow::every(ticks))
-        }
-        2 => {
-            let _ = r.u32("planner window")?;
-            PlannerMode::ForceMaterialized
         }
         other => return Err(err(format!("unknown planner mode {other}"))),
-    };
+    }
     let count = r.u32("choice count")? as usize;
     let mut choices = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
@@ -238,7 +233,7 @@ pub fn import_planner_state(bytes: &[u8]) -> Result<(PlannerMode, Vec<ImportedCh
         ));
     }
     r.expect_end("planner state")?;
-    Ok((mode, choices))
+    Ok(choices)
 }
 
 /// Install imported choices onto the re-planned call sites.  Only call sites
@@ -402,13 +397,7 @@ mod tests {
             );
         }
         let constants = sgl_algebra::cost::CostConstants::default();
-        crate::planner::choose_physical(
-            &mut planned,
-            &RuntimeStats::default(),
-            &constants,
-            4000,
-            true,
-        );
+        crate::planner::choose_physical(&mut planned, &RuntimeStats::default(), &constants, 4000);
         let installed_before: Vec<(String, PhysicalBackend, MaintenanceChoice)> = {
             let mut v: Vec<_> = planned
                 .iter()
@@ -423,10 +412,22 @@ mod tests {
         };
         assert!(!installed_before.is_empty());
 
-        let mode = PlannerMode::cost_based(3);
-        let bytes = export_planner_state(mode, &planned);
-        let (back_mode, choices) = import_planner_state(&bytes).unwrap();
-        assert_eq!(back_mode, mode);
+        let bytes = export_planner_state(PlannerMode::cost_based(3), &planned);
+        let choices = import_planner_state(&bytes).unwrap();
+        // The mode header is informational: a pinned writer's section
+        // decodes to the same choices, and so do the legacy heuristic (0)
+        // and forced-materialization (2) codes older writers emitted.
+        let pinned = export_planner_state(PlannerMode::PAPER, &planned);
+        assert_eq!(pinned[0], MODE_PIN);
+        for code in [0, 2, MODE_PIN] {
+            let mut legacy = pinned.clone();
+            legacy[0] = code;
+            assert_eq!(
+                import_planner_state(&legacy).unwrap(),
+                choices,
+                "code {code}"
+            );
+        }
 
         // Install onto a freshly planned map: same choices come back.
         let mut fresh = FxHashMap::default();
@@ -451,13 +452,7 @@ mod tests {
         // A re-cost with identical statistics keeps every installed choice
         // (zero switches) — the resumed planner continues, not restarts.
         assert_eq!(
-            crate::planner::choose_physical(
-                &mut fresh,
-                &RuntimeStats::default(),
-                &constants,
-                4000,
-                true,
-            ),
+            crate::planner::choose_physical(&mut fresh, &RuntimeStats::default(), &constants, 4000),
             0
         );
     }
@@ -466,6 +461,8 @@ mod tests {
     fn planner_state_rejects_unknown_codes() {
         let mut w = ByteWriter::new();
         w.u8(9); // unknown mode
+        w.u32(0);
+        w.u32(0);
         assert!(matches!(
             import_planner_state(&w.finish()),
             Err(EnvError::Checkpoint(_))

@@ -1,5 +1,6 @@
 //! Executor configuration and per-tick statistics.
 
+use sgl_algebra::cost::{MaintenanceChoice, PhysicalBackend};
 use sgl_env::{AttrId, Schema};
 
 use crate::error::ExecError;
@@ -33,51 +34,6 @@ impl ExecMode {
     pub fn uses_indexes(self) -> bool {
         matches!(self, ExecMode::Compiled)
     }
-}
-
-/// How aggregate index structures are kept in sync with the environment
-/// across clock ticks (the §5.3 / §6.4 design axis this engine makes
-/// pluggable).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MaintenancePolicy {
-    /// Discard every structure at end of tick and rebuild lazily on first
-    /// use in the next tick — the paper's choice for volatile attributes.
-    RebuildEachTick,
-    /// Keep dynamically maintained structures alive across ticks and apply
-    /// only the per-unit deltas (movement, spawns, deaths, value changes)
-    /// observed after each tick's post-processing.
-    Incremental,
-    /// Decide per partition each tick: partitions whose update ratio exceeds
-    /// `rebuild_ratio` are rebuilt from scratch, the rest are maintained
-    /// incrementally.
-    Adaptive {
-        /// Fraction of changed rows (0.0–1.0) above which a partition is
-        /// rebuilt instead of patched.
-        rebuild_ratio: f64,
-    },
-}
-
-impl MaintenancePolicy {
-    /// Default adaptive policy (rebuild a partition when more than 40 % of
-    /// its rows changed).
-    pub fn adaptive() -> MaintenancePolicy {
-        MaintenancePolicy::Adaptive { rebuild_ratio: 0.4 }
-    }
-
-    /// True for the policies that keep maintained structures across ticks.
-    pub fn is_dynamic(&self) -> bool {
-        !matches!(self, MaintenancePolicy::RebuildEachTick)
-    }
-}
-
-/// Which structure backs the per-tick (rebuilt) divisible-aggregate indexes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebuildBackend {
-    /// Layered aggregate range tree (Figure 8) — the paper's structure.
-    LayeredTree,
-    /// Bucket PR quadtree with per-node summaries (ablation alternative that
-    /// also answers exact MIN/MAX).
-    QuadTree,
 }
 
 /// How many worker threads execute the decision/action phases of a tick.
@@ -173,29 +129,29 @@ impl Default for AdaptiveWindow {
     }
 }
 
-/// How the physical backend of each aggregate call site is chosen.
+/// How the physical backend of each aggregate call site is chosen.  Only
+/// meaningful under [`ExecMode::Compiled`]; every alternative returns
+/// identical results, so state digests never depend on the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerMode {
-    /// Fixed heuristics: the strategy planner's structure mapping driven by
-    /// the configured [`MaintenancePolicy`] / [`RebuildBackend`] — the
-    /// behaviour of every pre-cost-based configuration.
-    Heuristic,
     /// Cost-based: price every alternative from runtime statistics
-    /// (`sgl_algebra::cost`) and re-cost on the given window.  Only
-    /// meaningful under [`ExecMode::Compiled`]; behaviour-neutral by
-    /// construction (every alternative returns identical results), so state
-    /// digests never depend on the mode.
+    /// (`sgl_algebra::cost`) and re-cost on the given window.
     CostBased(AdaptiveWindow),
-    /// Force the materialized-answer class on every call site where it is
-    /// legal (divisible and MIN/MAX strategies; nearest sites keep their
-    /// heuristic structures).  A testing/conformance knob: the generated
-    /// worlds are short and calm enough that the cost model would rarely
-    /// choose materialization on its own, and the lattice needs
-    /// deterministic materialized rows to prove behaviour neutrality.
-    ForceMaterialized,
+    /// Pin one physical alternative on every indexable call site whose
+    /// strategy class offers it; the other sites get their class's paper
+    /// structure ([`sgl_algebra::cost::StrategyClass::paper_backend`]).
+    /// Tests and benches pin to exercise one backend deterministically —
+    /// short generated worlds rarely make the cost model pick, say,
+    /// materialized answers on its own.
+    Pin(PhysicalBackend, MaintenanceChoice),
 }
 
 impl PlannerMode {
+    /// The paper's engine (§5.3): layered aggregate range trees, sweep
+    /// lines and kD-trees, rebuilt every tick.
+    pub const PAPER: PlannerMode =
+        PlannerMode::Pin(PhysicalBackend::LayeredTree, MaintenanceChoice::PerTick);
+
     /// Cost-based planning re-costed every `ticks` ticks.
     pub fn cost_based(ticks: u32) -> PlannerMode {
         PlannerMode::CostBased(AdaptiveWindow::every(ticks))
@@ -204,12 +160,6 @@ impl PlannerMode {
     /// True for [`PlannerMode::CostBased`].
     pub fn is_cost_based(&self) -> bool {
         matches!(self, PlannerMode::CostBased(_))
-    }
-
-    /// True for the modes that install per-call-site physical choices (the
-    /// cost-based planner and the forced-materialized testing mode).
-    pub fn installs_choices(&self) -> bool {
-        !matches!(self, PlannerMode::Heuristic)
     }
 }
 
@@ -239,14 +189,6 @@ pub struct ExecConfig {
     pub mode: ExecMode,
     /// Spatial attributes used by the index planner.
     pub spatial: Option<SpatialAttrs>,
-    /// Use fractional cascading in the layered aggregate trees (§5.3.1).
-    pub cascading: bool,
-    /// Use the effect-centre index for area-of-effect actions (§5.4).
-    pub aoe_index: bool,
-    /// How index structures are maintained across ticks.
-    pub policy: MaintenancePolicy,
-    /// Structure backing rebuilt divisible indexes.
-    pub backend: RebuildBackend,
     /// Worker threads for the decision/action phases of a tick.
     pub parallelism: Parallelism,
     /// How physical backends are chosen per aggregate call site.
@@ -258,38 +200,27 @@ impl ExecConfig {
     pub fn naive(schema: &Schema) -> ExecConfig {
         ExecConfig {
             mode: ExecMode::Naive,
-            spatial: SpatialAttrs::from_schema(schema),
-            cascading: false,
-            aoe_index: false,
-            policy: MaintenancePolicy::RebuildEachTick,
-            backend: RebuildBackend::LayeredTree,
-            parallelism: Parallelism::from_env().unwrap_or(Parallelism::Off),
-            planner: PlannerMode::Heuristic,
+            ..ExecConfig::indexed(schema)
         }
     }
 
-    /// Configuration for planned (indexed) execution against a schema, all
-    /// paper optimizations enabled, scripts on the bytecode VM
-    /// ([`ExecMode::Compiled`]).
+    /// Configuration for indexed execution against a schema with the
+    /// paper's structures pinned ([`PlannerMode::PAPER`]), scripts on the
+    /// bytecode VM ([`ExecMode::Compiled`]).
     pub fn indexed(schema: &Schema) -> ExecConfig {
         ExecConfig {
             mode: ExecMode::Compiled,
             spatial: SpatialAttrs::from_schema(schema),
-            cascading: true,
-            aoe_index: true,
-            policy: MaintenancePolicy::RebuildEachTick,
-            backend: RebuildBackend::LayeredTree,
             parallelism: Parallelism::from_env().unwrap_or(Parallelism::Off),
-            planner: PlannerMode::Heuristic,
+            planner: PlannerMode::PAPER,
         }
     }
 
     /// Configuration for the cost-based planner: indexed execution whose
     /// physical backends are chosen per call site by the cost model of
     /// [`sgl_algebra::cost`], re-costed on the default
-    /// [`AdaptiveWindow`].  The base maintenance policy stays
-    /// `RebuildEachTick`; cross-tick maintained structures are created
-    /// exactly for the call sites the cost model routes to the grid.
+    /// [`AdaptiveWindow`].  Cross-tick maintained structures exist exactly
+    /// for the call sites the cost model routes to them.
     pub fn cost_based(schema: &Schema) -> ExecConfig {
         ExecConfig {
             planner: PlannerMode::CostBased(AdaptiveWindow::default()),
@@ -304,13 +235,8 @@ impl ExecConfig {
     pub fn oracle(schema: &Schema) -> ExecConfig {
         ExecConfig {
             mode: ExecMode::Oracle,
-            spatial: SpatialAttrs::from_schema(schema),
-            cascading: false,
-            aoe_index: false,
-            policy: MaintenancePolicy::RebuildEachTick,
-            backend: RebuildBackend::LayeredTree,
             parallelism: Parallelism::Off,
-            planner: PlannerMode::Heuristic,
+            ..ExecConfig::indexed(schema)
         }
     }
 
@@ -331,25 +257,13 @@ impl ExecConfig {
         self
     }
 
-    /// Set the cross-tick maintenance policy.
-    pub fn with_policy(mut self, policy: MaintenancePolicy) -> ExecConfig {
-        self.policy = policy;
-        self
-    }
-
-    /// Set the structure backing rebuilt divisible indexes.
-    pub fn with_backend(mut self, backend: RebuildBackend) -> ExecConfig {
-        self.backend = backend;
-        self
-    }
-
     /// Set the worker-thread count for tick execution.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> ExecConfig {
         self.parallelism = parallelism;
         self
     }
 
-    /// Set the planner mode (heuristic vs cost-based).
+    /// Set the planner mode (cost-based or a pin).
     pub fn with_planner(mut self, planner: PlannerMode) -> ExecConfig {
         self.planner = planner;
         self
@@ -378,8 +292,8 @@ pub struct TickStats {
     pub acting_units: usize,
     /// Incremental delta operations applied to maintained index structures.
     pub index_delta_ops: usize,
-    /// Maintained partitions rebuilt from scratch (adaptive policy or
-    /// invalidation).
+    /// Maintained partitions rebuilt from scratch (`Rebuild` maintenance,
+    /// first builds or invalidation).
     pub partition_rebuilds: usize,
     /// Aggregate evaluations answered by a cross-tick maintained structure.
     pub maintained_probes: usize,
@@ -437,22 +351,16 @@ mod tests {
         let schema = paper_schema();
         let naive = ExecConfig::naive(&schema);
         assert_eq!(naive.mode, ExecMode::Naive);
-        assert!(!naive.cascading && !naive.aoe_index);
         let indexed = ExecConfig::indexed(&schema);
         assert_eq!(indexed.mode, ExecMode::Compiled);
         assert_eq!(indexed.with_mode(ExecMode::Naive).mode, ExecMode::Naive);
-        assert!(indexed.cascading && indexed.aoe_index);
-        assert_eq!(indexed.policy, MaintenancePolicy::RebuildEachTick);
-        assert_eq!(indexed.backend, RebuildBackend::LayeredTree);
-        let incremental = indexed.with_policy(MaintenancePolicy::Incremental);
-        assert!(incremental.policy.is_dynamic());
-        assert!(MaintenancePolicy::adaptive().is_dynamic());
-        assert!(!MaintenancePolicy::RebuildEachTick.is_dynamic());
-        let quad = indexed.with_backend(RebuildBackend::QuadTree);
-        assert_eq!(quad.backend, RebuildBackend::QuadTree);
+        assert_eq!(indexed.planner, PlannerMode::PAPER);
+        assert!(!indexed.planner.is_cost_based());
+        let pin = PlannerMode::Pin(PhysicalBackend::MaintainedGrid, MaintenanceChoice::Rebuild);
+        assert_eq!(indexed.with_planner(pin).planner, pin);
+        assert!(ExecConfig::cost_based(&schema).planner.is_cost_based());
         let oracle = ExecConfig::oracle(&schema);
         assert_eq!(oracle.mode, ExecMode::Oracle);
-        assert!(!oracle.cascading && !oracle.aoe_index);
         // The oracle is serial even when SGL_PARALLELISM asks for threads.
         assert_eq!(oracle.parallelism, Parallelism::Off);
     }

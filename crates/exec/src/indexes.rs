@@ -1,23 +1,25 @@
-//! The cross-tick index subsystem: a persistent [`IndexManager`] applying a
-//! [`MaintenancePolicy`], plus the per-tick [`TickIndexes`] probe cache.
+//! The cross-tick index subsystem: a persistent [`IndexManager`] keeping
+//! maintained structures in sync, plus the per-tick [`TickIndexes`] probe
+//! cache.
 //!
 //! Mirrors the experimental setup of §6: the categorical part of each filter
 //! (player, unit type) selects partitions of a hash layer; each partition
 //! owns the structure required by the aggregate's strategy.  Unlike the
 //! paper's engine — which hardcodes rebuild-per-tick — the structures behind
 //! the hash layer are pluggable ([`sgl_index::traits`]) and their lifetime
-//! is governed by the configured policy:
+//! is each call site's [`MaintenanceChoice`]:
 //!
-//! * **`RebuildEachTick`** — structures are built lazily on first use and
-//!   discarded at end of tick (the paper's choice, §5.3);
-//! * **`Incremental`** — maintained [`DynamicAggGrid`]s live inside the
-//!   [`IndexManager`] across ticks; after each tick's post-processing and
-//!   movement the engine hands the environment back and the manager applies
-//!   only the per-unit deltas (diffed against its mirror of the last
-//!   indexed state — the effect relation alone cannot describe collision
-//!   -resolved movement);
-//! * **`Adaptive`** — per partition, whichever of the two is predicted
-//!   cheaper by the observed update ratio.
+//! * **`PerTick`** — structures are built lazily on first use and discarded
+//!   at end of tick (the paper's choice, §5.3);
+//! * **`Incremental`** — maintained [`DynamicAggGrid`]s (and materialized
+//!   answers) live inside the [`IndexManager`] across ticks; after each
+//!   tick's post-processing and movement the engine hands the environment
+//!   back and the manager applies only the per-unit deltas (diffed against
+//!   its mirror of the last indexed state — the effect relation alone
+//!   cannot describe collision-resolved movement);
+//! * **`Rebuild`** — maintained grids whose touched partitions are rebuilt
+//!   wholesale instead of patched (the update rate crossed the modeled
+//!   break-even).
 //!
 //! Partition keys are `u64` fingerprints of the categorical `Value` vector
 //! (no per-probe string building — the former `encode_values` hot path).
@@ -39,7 +41,7 @@ use sgl_lang::eval::{eval_term, EvalContext, NoAggregates, ScriptValue};
 
 use sgl_algebra::cost::{MaintenanceChoice, PhysicalBackend};
 
-use crate::config::{ExecConfig, MaintenancePolicy, SpatialAttrs, TickStats};
+use crate::config::{ExecConfig, SpatialAttrs, TickStats};
 use crate::error::{ExecError, Result};
 use crate::filter::FilterAnalysis;
 use crate::mirror::{
@@ -266,14 +268,14 @@ struct MatAggState {
 
 /// The cross-tick owner of aggregate index structures.
 ///
-/// Under `RebuildEachTick` the manager is stateless (structures live only in
-/// the per-tick [`TickIndexes`]).  Under the dynamic policies it owns the
-/// maintained structures, the shared columnar mirror of the last indexed
-/// environment, and the diff/patch machinery that keeps them in sync:
-/// [`IndexManager::end_tick`] is called by the engine after post-processing,
-/// movement and resurrection have mutated the environment.
+/// While every call site is rebuilt per tick the manager is stateless
+/// (structures live only in the per-tick [`TickIndexes`]).  For maintained
+/// and materialized call sites it owns the structures, the shared columnar
+/// mirror of the last indexed environment, and the diff/patch machinery
+/// that keeps them in sync: [`IndexManager::end_tick`] is called by the
+/// engine after post-processing, movement and resurrection have mutated the
+/// environment.
 pub struct IndexManager {
-    policy: MaintenancePolicy,
     spatial: Option<SpatialAttrs>,
     dynamic: FxHashMap<String, DynAggState>,
     /// Materialized answer stores, one per call site the planner routed to
@@ -285,36 +287,6 @@ pub struct IndexManager {
     synced: bool,
     /// Counters of the most recent maintenance pass.
     pub last_maint: MaintStats,
-}
-
-/// Whether a planned aggregate is served by a cross-tick maintained
-/// structure: decided per call site by the cost-based planner's choice when
-/// one is installed, otherwise globally by the maintenance policy.
-pub(crate) fn plan_is_maintained(policy: MaintenancePolicy, plan: &PlannedAggregate) -> bool {
-    if !plan.is_indexed() {
-        return false;
-    }
-    match &plan.choice {
-        Some(choice) => choice.backend == PhysicalBackend::MaintainedGrid,
-        None => policy.is_dynamic(),
-    }
-}
-
-/// Whether a planned aggregate is served from a materialized answer store.
-/// Only a cost-based (or forced) choice routes here, and only for the
-/// divisible and MIN/MAX strategies: nearest/argbest answers embed output
-/// terms of the winning row that can change without any delta the mirror
-/// observes, so they are never materialized.
-pub(crate) fn plan_is_materialized(plan: &PlannedAggregate) -> bool {
-    plan.is_indexed()
-        && matches!(
-            &plan.strategy,
-            AggStrategy::DivisibleTree { .. } | AggStrategy::SweepMinMax
-        )
-        && plan
-            .choice
-            .as_ref()
-            .is_some_and(|c| c.backend == PhysicalBackend::Materialized)
 }
 
 /// The patch class of a materialized site (see [`MatPatch`]).
@@ -346,28 +318,10 @@ fn mat_minimize_of(plan: &PlannedAggregate) -> Vec<bool> {
     }
 }
 
-/// The per-partition rebuild threshold for a maintained aggregate: the
-/// policy's ratio under the heuristic planner; under a cost-based choice,
-/// `Incremental` patches unconditionally and `Rebuild` (the modeled
-/// break-even was crossed) rebuilds every touched partition wholesale.
-fn effective_rebuild_ratio(policy: MaintenancePolicy, plan: &PlannedAggregate) -> f64 {
-    match &plan.choice {
-        Some(choice) => match choice.maintenance {
-            MaintenanceChoice::Rebuild => 0.0,
-            _ => f64::INFINITY,
-        },
-        None => match policy {
-            MaintenancePolicy::Adaptive { rebuild_ratio } => rebuild_ratio,
-            _ => f64::INFINITY,
-        },
-    }
-}
-
 impl IndexManager {
     /// Create a manager for a configuration.
     pub fn new(config: &ExecConfig) -> IndexManager {
         IndexManager {
-            policy: config.policy,
             spatial: config.spatial,
             dynamic: FxHashMap::default(),
             materialized: FxHashMap::default(),
@@ -377,12 +331,8 @@ impl IndexManager {
         }
     }
 
-    /// The configured maintenance policy.
-    pub fn policy(&self) -> MaintenancePolicy {
-        self.policy
-    }
-
-    /// Number of maintained aggregate states (0 under `RebuildEachTick`).
+    /// Number of maintained aggregate states (0 while every call site is
+    /// rebuilt per tick).
     pub fn maintained_aggregates(&self) -> usize {
         self.dynamic.len()
     }
@@ -416,23 +366,6 @@ impl IndexManager {
     /// [`IndexManager::prepare`] re-syncs them.
     pub fn mark_stale(&mut self) {
         self.synced = false;
-    }
-
-    /// Whether this plan is served by a cross-tick maintained structure
-    /// under the manager's policy (per call site when a cost-based choice is
-    /// installed).
-    pub fn plan_is_maintained(&self, plan: &PlannedAggregate) -> bool {
-        plan_is_maintained(self.policy, plan)
-    }
-
-    /// Whether this plan is served by a materialized per-site answer store
-    /// (a cost-based or forced [`PhysicalBackend::Materialized`] choice on a
-    /// strategy whose answers can be patched from deltas).  Materialized
-    /// sites need the end-of-tick maintenance pass even when no grid is
-    /// maintained: that pass is where the tick's deltas patch the stored
-    /// answers.
-    pub fn plan_is_materialized(&self, plan: &PlannedAggregate) -> bool {
-        plan_is_materialized(plan)
     }
 
     /// Rows-per-area density measured by the live maintained grids (their
@@ -469,10 +402,7 @@ impl IndexManager {
         planned: &FxHashMap<String, PlannedAggregate>,
         constants: &FxHashMap<String, Value>,
     ) -> Result<MaintStats> {
-        let policy = self.policy;
-        let any_grid = planned.values().any(|p| plan_is_maintained(policy, p));
-        let any_mat = planned.values().any(plan_is_materialized);
-        if !any_grid && !any_mat {
+        if !planned.values().any(PlannedAggregate::needs_maintenance) {
             self.invalidate();
             self.synced = true;
             return Ok(MaintStats::default());
@@ -486,12 +416,15 @@ impl IndexManager {
         self.dynamic.retain(|name, _| {
             planned
                 .get(name)
-                .is_some_and(|p| plan_is_maintained(policy, p))
+                .is_some_and(PlannedAggregate::is_maintained)
         });
-        self.materialized
-            .retain(|name, _| planned.get(name).is_some_and(plan_is_materialized));
+        self.materialized.retain(|name, _| {
+            planned
+                .get(name)
+                .is_some_and(PlannedAggregate::is_materialized)
+        });
         for (name, plan) in planned {
-            if plan_is_maintained(policy, plan) {
+            if plan.is_maintained() {
                 let cols = SiteColumns::of(plan, table)?;
                 let state = self.dynamic.entry(name.clone()).or_default();
                 if state.cols != cols {
@@ -501,7 +434,7 @@ impl IndexManager {
                     };
                 }
             }
-            if plan_is_materialized(plan) {
+            if plan.is_materialized() {
                 let cols = SiteColumns::of(plan, table)?;
                 let state = self
                     .materialized
@@ -538,8 +471,11 @@ impl IndexManager {
         };
         for (name, plan) in planned {
             if let Some(state) = self.dynamic.get_mut(name) {
-                let ratio = effective_rebuild_ratio(policy, plan);
-                sync_grids(state, &mut pass, &cur, ratio, &mut stats)?;
+                let rebuild = plan
+                    .choice
+                    .as_ref()
+                    .is_some_and(|c| c.maintenance == MaintenanceChoice::Rebuild);
+                sync_grids(state, &mut pass, &cur, rebuild, &mut stats)?;
                 state.synced = Some(pass.next_generation());
             }
             if let Some(state) = self.materialized.get_mut(name) {
@@ -642,14 +578,14 @@ enum GridOp {
 
 /// Bring one maintained aggregate's grids to the current columns.  A site
 /// that is new or missed a pass builds every partition from the columns;
-/// otherwise its row changes are patched in, and a partition whose delta
-/// ratio exceeds `rebuild_ratio` (or whose grid is empty) is rebuilt from
-/// the columns instead.
+/// otherwise its row changes are patched in — or, under `rebuild` (and for
+/// a partition whose grid is empty), every touched partition is rebuilt
+/// from the columns instead.
 fn sync_grids(
     state: &mut DynAggState,
     pass: &mut MirrorPass<'_>,
     cur: &MirrorColumns,
-    rebuild_ratio: f64,
+    rebuild: bool,
     stats: &mut MaintStats,
 ) -> Result<()> {
     let channels = state.cols.channels.len();
@@ -715,8 +651,7 @@ fn sync_grids(
             .grids
             .entry(part)
             .or_insert_with(|| DynamicAggGrid::new(0.0, channels));
-        let ratio = part_ops.len() as f64 / size as f64;
-        if AggIndex::is_empty(grid) || ratio > rebuild_ratio {
+        if rebuild || AggIndex::is_empty(grid) {
             let rows = pass.partitions(&state.cols, &cur).get(&part);
             grid.rebuild_owned(
                 rows.into_iter()
@@ -975,7 +910,7 @@ fn sync_answers(
 /// collector (the *executed* choice surfaced in `explain`).
 fn served_backend_of(kind: AggStructureKind) -> PhysicalBackend {
     match kind {
-        AggStructureKind::LayeredTree { .. } => PhysicalBackend::LayeredTree,
+        AggStructureKind::LayeredTree => PhysicalBackend::LayeredTree,
         AggStructureKind::QuadTree { .. } => PhysicalBackend::QuadTree,
         AggStructureKind::DynamicGrid { .. } => PhysicalBackend::MaintainedGrid,
     }
@@ -987,15 +922,14 @@ struct Partition {
     rows: Vec<u32>,
 }
 
-/// The per-tick cache of index structures (the rebuild side of the policy
-/// spectrum), layered over the persistent [`IndexManager`] (the maintained
+/// The per-tick cache of index structures (the rebuild side of the
+/// maintenance spectrum), layered over the persistent [`IndexManager`] (the maintained
 /// side).  Structures are built lazily on first use and discarded when the
 /// tick's `TickIndexes` is dropped.
 pub struct TickIndexes<'a> {
     manager: &'a IndexManager,
     table: &'a EnvTable,
     spatial: SpatialAttrs,
-    config: &'a ExecConfig,
     constants: &'a FxHashMap<String, Value>,
     /// partition signature fp → (attr ids, partition fp → partition).
     partitions: FxHashMap<u64, FxHashMap<u64, Partition>>,
@@ -1046,17 +980,12 @@ impl IndexManager {
     pub fn tick_view<'a>(
         &'a self,
         table: &'a EnvTable,
-        config: &'a ExecConfig,
         constants: &'a FxHashMap<String, Value>,
     ) -> Result<Option<TickIndexes<'a>>> {
-        let Some(spatial) = config.spatial else {
+        let Some(spatial) = self.spatial else {
             return Ok(None);
         };
-        if !self.synced
-            && (self.policy.is_dynamic()
-                || !self.dynamic.is_empty()
-                || !self.materialized.is_empty())
-        {
+        if !self.synced && (!self.dynamic.is_empty() || !self.materialized.is_empty()) {
             return Err(ExecError::Internal(
                 "tick_view on an unsynced manager (call prepare/end_tick first)".into(),
             ));
@@ -1065,7 +994,6 @@ impl IndexManager {
             manager: self,
             table,
             spatial,
-            config,
             constants,
             partitions: FxHashMap::default(),
             agg_structs: FxHashMap::default(),
@@ -1234,10 +1162,9 @@ impl<'a> TickIndexes<'a> {
         )))
     }
 
-    /// The maintained state for an aggregate, when the policy (or the
-    /// cost-based choice) keeps one.
+    /// The maintained state for an aggregate, when its choice keeps one.
     fn maintained(&self, plan: &PlannedAggregate) -> Option<&'a DynAggState> {
-        if plan_is_maintained(self.config.policy, plan) {
+        if plan.is_maintained() {
             self.manager.state(&plan.def.name)
         } else {
             None
@@ -1392,16 +1319,16 @@ impl<'a> TickIndexes<'a> {
         planned: &PlannedAggregate,
         ctx: &EvalContext<'_>,
     ) -> Result<Option<ScriptValue>> {
-        // A cost-based choice of `Scan` sends the probe back to the caller's
-        // scan path (identical results, no structure built).
+        // A `Scan` choice — or no choice yet — sends the probe back to the
+        // caller's scan path (identical results, no structure built).
         if planned
             .choice
             .as_ref()
-            .is_some_and(|c| c.backend == PhysicalBackend::Scan)
+            .is_none_or(|c| c.backend == PhysicalBackend::Scan)
         {
             return Ok(None);
         }
-        if plan_is_materialized(planned) {
+        if planned.is_materialized() {
             return self.eval_materialized(planned, ctx).map(Some);
         }
         match &planned.strategy {
@@ -1550,7 +1477,7 @@ impl<'a> TickIndexes<'a> {
             partitions = state.grids.len();
             backend = PhysicalBackend::MaintainedGrid;
         } else {
-            let kind = planned.structure(self.config).ok_or_else(|| {
+            let kind = planned.structure().ok_or_else(|| {
                 ExecError::Internal("divisible strategy without a structure".into())
             })?;
             let cat_attrs = self.cat_attr_ids(&planned.analysis)?;
@@ -1712,8 +1639,8 @@ impl<'a> TickIndexes<'a> {
         Ok(ScriptValue::Record(fields))
     }
 
-    /// MIN/MAX aggregates: maintained grids answer them directly; under a
-    /// rebuild policy the sweep-line batch of Figure 9 answers them when the
+    /// MIN/MAX aggregates: maintained grids answer them directly; otherwise
+    /// the sweep-line batch of Figure 9 answers them when the
     /// probe rectangle is centred on the unit (the `u.pos ± range` pattern),
     /// and a per-partition quadtree answers the remaining shapes.
     fn eval_min_max(
@@ -1784,7 +1711,7 @@ impl<'a> TickIndexes<'a> {
         // quadtrees instead.
         let centred =
             (rect.x_min + rx - unit_x).abs() <= 1e-9 && (rect.y_min + ry - unit_y).abs() <= 1e-9;
-        // A cost-based choice of the quadtree skips the sweep batch even for
+        // A quadtree choice skips the sweep batch even for
         // centred probes (same results, different cost profile).  Misses of
         // a materialized site take the quadtree too: on a low-churn tick only
         // a few probes miss, and a whole-batch sweep would be priced for all
@@ -1940,8 +1867,8 @@ impl<'a> TickIndexes<'a> {
 mod tests {
     use super::*;
     use crate::builtin_eval::{bind_params, eval_aggregate_scan};
-    use crate::config::RebuildBackend;
-    use crate::planner::plan_aggregate;
+    use crate::config::PlannerMode;
+    use crate::planner::{install_pin, plan_aggregate, PhysicalChoice};
     use sgl_env::{schema::paper_schema, GameRng, Schema, TupleBuilder};
     use sgl_lang::builtins::paper_registry;
     use std::sync::Arc;
@@ -1955,11 +1882,9 @@ mod tests {
         planned: &FxHashMap<String, PlannedAggregate>,
         constants: &'a FxHashMap<String, Value>,
     ) -> TickIndexes<'a> {
+        assert_eq!(manager.spatial, config.spatial);
         manager.prepare(table, planned, constants).unwrap();
-        manager
-            .tick_view(table, config, constants)
-            .unwrap()
-            .unwrap()
+        manager.tick_view(table, constants).unwrap().unwrap()
     }
 
     fn make_table(n: usize) -> (Arc<Schema>, EnvTable) {
@@ -1990,116 +1915,42 @@ mod tests {
         (schema, table)
     }
 
+    fn pinned(schema: &Schema, backend: PhysicalBackend, maint: MaintenanceChoice) -> ExecConfig {
+        ExecConfig::indexed(schema).with_planner(PlannerMode::Pin(backend, maint))
+    }
+
     fn configs(schema: &Schema) -> Vec<(&'static str, ExecConfig)> {
-        let base = ExecConfig::indexed(schema);
+        use MaintenanceChoice::*;
+        use PhysicalBackend::*;
         vec![
-            ("rebuild/layered", base),
+            ("layered", pinned(schema, LayeredTree, PerTick)),
+            ("quadtree", pinned(schema, QuadTree, PerTick)),
             (
-                "rebuild/quadtree",
-                base.with_backend(RebuildBackend::QuadTree),
+                "grid-incremental",
+                pinned(schema, MaintainedGrid, Incremental),
             ),
-            (
-                "incremental",
-                base.with_policy(MaintenancePolicy::Incremental),
-            ),
-            ("adaptive", base.with_policy(MaintenancePolicy::adaptive())),
+            ("grid-rebuild", pinned(schema, MaintainedGrid, Rebuild)),
         ]
     }
 
-    #[test]
-    fn indexed_aggregates_agree_with_scans_under_every_policy() {
-        let (schema, table) = make_table(120);
-        let registry = paper_registry();
-        let constants = registry.constants().clone();
-        let rng = GameRng::new(7).for_tick(3);
-
-        for (label, config) in configs(&schema) {
-            let planned_map = crate::tick::plan_registry(&registry, &table, &config);
-            let mut manager = IndexManager::new(&config);
-            for agg_name in [
-                "CountEnemiesInRange",
-                "CentroidOfEnemyUnits",
-                "getNearestEnemy",
-            ] {
-                let def = registry.aggregate(agg_name).unwrap();
-                let planned = plan_aggregate(def, &schema, config.spatial);
-                assert_ne!(
-                    planned.strategy,
-                    AggStrategy::Scan,
-                    "{agg_name} should be indexable"
-                );
-                let mut cache = open_tick(&mut manager, &table, &config, &planned_map, &constants);
-                for row in 0..table.len() {
-                    let unit = table.row(row);
-                    let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
-                    let args: Vec<ScriptValue> = if def.params.len() == 2 {
-                        vec![ScriptValue::scalar(0i64), ScriptValue::scalar(15.0)]
-                    } else {
-                        vec![ScriptValue::scalar(0i64)]
-                    };
-                    ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-                    let fast = cache.evaluate(&planned, &ctx).unwrap().unwrap();
-                    let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
-                    match agg_name {
-                        "CountEnemiesInRange" => {
-                            assert_eq!(
-                                fast.as_scalar().unwrap(),
-                                slow.as_scalar().unwrap(),
-                                "{label} row {row}"
-                            );
-                        }
-                        "CentroidOfEnemyUnits" => {
-                            for field in ["x", "y"] {
-                                let f = fast.field(field).unwrap().as_f64().unwrap();
-                                let s = slow.field(field).unwrap().as_f64().unwrap();
-                                assert!(
-                                    (f - s).abs() < 1e-9,
-                                    "{label} row {row} field {field}: {f} vs {s}"
-                                );
-                            }
-                        }
-                        "getNearestEnemy" => {
-                            // Distances must agree even if ties pick different keys.
-                            let fk = fast.field("key").unwrap().as_i64().unwrap();
-                            let sk = slow.field("key").unwrap().as_i64().unwrap();
-                            let spatial = config.spatial.unwrap();
-                            let dist = |key: i64| {
-                                let idx = table.find_key_readonly(key).unwrap();
-                                let p = table.row(idx);
-                                let dx = p.get_f64(spatial.x).unwrap()
-                                    - unit.get_f64(spatial.x).unwrap();
-                                let dy = p.get_f64(spatial.y).unwrap()
-                                    - unit.get_f64(spatial.y).unwrap();
-                                dx * dx + dy * dy
-                            };
-                            assert!((dist(fk) - dist(sk)).abs() < 1e-9, "{label} row {row}");
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                // Indexes are reused across probes.
-                assert!(
-                    cache.stats.indexes_built <= 4,
-                    "{label}: {agg_name} built {}",
-                    cache.stats.indexes_built
-                );
-                assert_eq!(cache.stats.index_probes, table.len(), "{label}");
-                if config.policy.is_dynamic() {
-                    assert_eq!(cache.stats.maintained_probes, table.len(), "{label}");
-                }
-            }
-        }
+    /// Pin one call site to a choice (the planner pins whole registries).
+    fn pin_site(plan: &mut PlannedAggregate, backend: PhysicalBackend, maint: MaintenanceChoice) {
+        plan.choice = Some(PhysicalChoice {
+            backend,
+            maintenance: maint,
+            est_us: 0.0,
+            alternatives: Vec::new(),
+        });
     }
 
-    #[test]
-    fn sweep_min_aggregate_agrees_with_scan() {
+    /// A MIN aggregate outside the registry (the sweep-line strategy),
+    /// planned alone under `config`'s pin.
+    fn weakest_enemy_site(
+        schema: &Schema,
+        config: &ExecConfig,
+    ) -> FxHashMap<String, PlannedAggregate> {
         use sgl_lang::ast::{Cond, Term};
         use sgl_lang::builtins::{enemy_filter, rect_range_filter, AggOutput, AggregateDef};
-
-        let (schema, table) = make_table(80);
-        let registry = paper_registry();
-        let constants = registry.constants().clone();
-        let rng = GameRng::new(7).for_tick(3);
         let def = AggregateDef {
             name: "WeakestEnemyHealth".into(),
             params: vec!["u".into(), "range".into()],
@@ -2113,31 +1964,57 @@ mod tests {
                 }],
             },
         };
+        let plan = plan_aggregate(&def, schema, config.spatial);
+        assert_eq!(plan.strategy, AggStrategy::SweepMinMax);
+        let mut planned = FxHashMap::default();
+        planned.insert(def.name, plan);
+        let PlannerMode::Pin(backend, maint) = config.planner else {
+            unreachable!("every test config pins");
+        };
+        install_pin(&mut planned, backend, maint);
+        planned
+    }
+
+    #[test]
+    fn indexed_aggregates_agree_with_scans_under_every_policy() {
+        let (schema, table) = make_table(120);
         for (label, config) in configs(&schema) {
-            let planned = plan_aggregate(&def, &schema, config.spatial);
-            assert_eq!(planned.strategy, AggStrategy::SweepMinMax);
-            // The custom aggregate is not in the registry; register its plan
-            // directly for the maintenance pass.
-            let mut planned_map: FxHashMap<String, PlannedAggregate> = FxHashMap::default();
-            planned_map.insert(def.name.clone(), planned.clone());
+            let planned_map = crate::tick::plan_registry(&paper_registry(), &table, &config);
             let mut manager = IndexManager::new(&config);
-            let mut cache = open_tick(&mut manager, &table, &config, &planned_map, &constants);
-            for row in 0..table.len() {
-                let unit = table.row(row);
-                let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
-                let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(10.0)];
-                ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-                let fast = cache.evaluate(&planned, &ctx).unwrap().unwrap();
-                let slow = eval_aggregate_scan(&def, &ctx.bindings, &ctx, &table).unwrap();
-                assert_eq!(
-                    fast.field("value").unwrap().as_f64().unwrap(),
-                    slow.field("value").unwrap().as_f64().unwrap(),
-                    "{label} row {row}"
-                );
+            for name in [
+                "CountEnemiesInRange",
+                "CentroidOfEnemyUnits",
+                "getNearestEnemy",
+            ] {
+                assert!(planned_map[name].is_indexed(), "{name} should be indexable");
+                let stats =
+                    assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+                // Indexes are reused across probes.
+                assert!(stats.indexes_built <= 4, "{label}: {name} built {stats:?}");
+                assert_eq!(stats.index_probes, table.len(), "{label}");
+                if planned_map[name].is_maintained() {
+                    assert_eq!(stats.maintained_probes, table.len(), "{label}");
+                }
             }
-            // One sweep per player value under the rebuild policy — two
-            // structures for the whole batch; maintained grids need none.
-            assert!(cache.stats.indexes_built <= 2, "{label}");
+        }
+    }
+
+    #[test]
+    fn sweep_min_aggregate_agrees_with_scan() {
+        let (schema, table) = make_table(80);
+        for (label, config) in configs(&schema) {
+            let planned_map = weakest_enemy_site(&schema, &config);
+            let mut manager = IndexManager::new(&config);
+            let stats = assert_agrees_with_scans(
+                &mut manager,
+                &table,
+                &config,
+                &planned_map,
+                "WeakestEnemyHealth",
+            );
+            // One sweep (or quadtree) per player value — two structures for
+            // the whole batch; maintained grids need none.
+            assert!(stats.indexes_built <= 2, "{label}");
         }
     }
 
@@ -2166,7 +2043,11 @@ mod tests {
         let (schema, mut table) = make_table(100);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental);
+        let config = pinned(
+            &schema,
+            PhysicalBackend::MaintainedGrid,
+            MaintenanceChoice::Incremental,
+        );
         let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
 
@@ -2190,60 +2071,39 @@ mod tests {
         assert!(second.delta_ops > 0);
 
         // And the maintained probes agree with a scan afterwards.
-        let rng = GameRng::new(1).for_tick(1);
-        let def = registry.aggregate("CountEnemiesInRange").unwrap();
-        let planned = plan_aggregate(def, &schema, config.spatial);
-        let mut cache = open_tick(&mut manager, &table, &config, &planned_map, &constants);
-        for row in 0..table.len() {
-            let unit = table.row(row);
-            let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
-            let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(12.0)];
-            ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-            let fast = cache.evaluate(&planned, &ctx).unwrap().unwrap();
-            let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
-            assert_eq!(
-                fast.as_scalar().unwrap(),
-                slow.as_scalar().unwrap(),
-                "row {row}"
-            );
-        }
-        assert_eq!(
-            cache.stats.indexes_built, 0,
-            "maintained grids serve every probe"
-        );
+        let name = "CountEnemiesInRange";
+        let stats = assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+        assert_eq!(stats.indexes_built, 0, "maintained grids serve every probe");
     }
 
     #[test]
-    fn adaptive_maintenance_rebuilds_hot_partitions() {
+    fn rebuild_maintenance_rebuilds_touched_partitions() {
         let (schema, mut table) = make_table(60);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema)
-            .with_policy(MaintenancePolicy::Adaptive { rebuild_ratio: 0.3 });
+        let config = pinned(
+            &schema,
+            PhysicalBackend::MaintainedGrid,
+            MaintenanceChoice::Rebuild,
+        );
         let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
         manager.end_tick(&table, &planned_map, &constants).unwrap();
 
-        // Move nearly every unit: the update ratio exceeds the threshold and
-        // partitions are rebuilt wholesale.
+        // Even a two-unit move rebuilds the touched partitions wholesale
+        // instead of patching them.
         let posx = schema.attr_id("posx").unwrap();
-        for row in 0..table.len() {
-            let new_x = table.row(row).get_f64(posx).unwrap() * 0.5 + 1.0;
-            table.set_attr(row, posx, Value::Float(new_x)).unwrap();
-        }
-        let heavy = manager.end_tick(&table, &planned_map, &constants).unwrap();
-        assert!(heavy.partition_rebuilds > 0);
-        assert_eq!(heavy.delta_ops, 0);
-
-        // Move two units: now the ratio is below the threshold and the
-        // partitions are patched.
         for row in 0..2 {
             let new_x = table.row(row).get_f64(posx).unwrap() + 0.5;
             table.set_attr(row, posx, Value::Float(new_x)).unwrap();
         }
         let light = manager.end_tick(&table, &planned_map, &constants).unwrap();
-        assert_eq!(light.partition_rebuilds, 0);
-        assert!(light.delta_ops > 0);
+        assert!(light.partition_rebuilds > 0);
+        assert_eq!(light.delta_ops, 0);
+
+        // An untouched pass does nothing.
+        let idle = manager.end_tick(&table, &planned_map, &constants).unwrap();
+        assert_eq!((idle.partition_rebuilds, idle.delta_ops), (0, 0));
     }
 
     #[test]
@@ -2251,7 +2111,11 @@ mod tests {
         let (schema, table) = make_table(30);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental);
+        let config = pinned(
+            &schema,
+            PhysicalBackend::MaintainedGrid,
+            MaintenanceChoice::Incremental,
+        );
         let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
         manager.end_tick(&table, &planned_map, &constants).unwrap();
@@ -2262,69 +2126,58 @@ mod tests {
         assert!(again.partition_rebuilds > 0);
     }
 
-    /// Probe every row of the table through a cache, absorbing materialized
-    /// writes afterwards; returns (answers, serves-from-store).
+    /// Probe every row of the table through the named site, absorbing its
+    /// materialized writes afterwards; returns the answers and the probe
+    /// statistics.
     fn probe_all(
         manager: &mut IndexManager,
         table: &EnvTable,
         config: &ExecConfig,
         planned_map: &FxHashMap<String, PlannedAggregate>,
-        constants: &FxHashMap<String, Value>,
-        planned: &PlannedAggregate,
-        args: &[ScriptValue],
-    ) -> (Vec<ScriptValue>, usize) {
-        let schema = table.schema();
+        name: &str,
+    ) -> (Vec<ScriptValue>, TickStats) {
+        let planned = &planned_map[name];
+        let args = probe_args(&planned.def);
+        let constants = paper_registry().constants().clone();
         let rng = GameRng::new(7).for_tick(3);
-        let mut cache = open_tick(manager, table, config, planned_map, constants);
+        let mut cache = open_tick(manager, table, config, planned_map, &constants);
         let mut answers = Vec::with_capacity(table.len());
         for row in 0..table.len() {
-            let unit = table.row(row);
-            let mut ctx = EvalContext::new(schema, unit, &rng, constants);
-            ctx.bindings = bind_params(&planned.def.name, &planned.def.params, args).unwrap();
+            let mut ctx = EvalContext::new(table.schema(), table.row(row), &rng, &constants);
+            ctx.bindings = bind_params(&planned.def.name, &planned.def.params, &args).unwrap();
             answers.push(cache.evaluate(planned, &ctx).unwrap().unwrap());
         }
-        let serves = cache.stats.materialized_serves;
+        let stats = cache.stats;
         let writes = cache.take_mat_writes();
         drop(cache);
         manager.absorb_materialized(writes);
-        (answers, serves)
+        (answers, stats)
     }
 
     #[test]
     fn materialized_answers_agree_with_scans_across_churn() {
         let (schema, mut table) = make_table(90);
-        let registry = paper_registry();
-        let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema);
-        let rng = GameRng::new(7).for_tick(3);
-        let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
-        let switched = crate::planner::force_materialized(&mut planned_map);
-        assert!(switched > 0, "registry has materializable sites");
+        let constants = paper_registry().constants().clone();
+        let config = pinned(
+            &schema,
+            PhysicalBackend::Materialized,
+            MaintenanceChoice::Incremental,
+        );
+        let planned_map = crate::tick::plan_registry(&paper_registry(), &table, &config);
 
         // CountEnemiesInRange (COUNT patch class) and CentroidOfEnemyUnits
         // (replace class) both carry a Materialized choice now.
-        for agg_name in ["CountEnemiesInRange", "CentroidOfEnemyUnits"] {
-            let planned = planned_map.get(agg_name).unwrap().clone();
-            assert!(plan_is_materialized(&planned), "{agg_name}");
+        for name in ["CountEnemiesInRange", "CentroidOfEnemyUnits"] {
+            assert!(planned_map[name].is_materialized(), "{name}");
             let mut manager = IndexManager::new(&config);
-            let args: Vec<ScriptValue> = if planned.def.params.len() == 2 {
-                vec![ScriptValue::scalar(0i64), ScriptValue::scalar(15.0)]
-            } else {
-                vec![ScriptValue::scalar(0i64)]
-            };
 
             // Tick 0: every probe misses, recomputes, and materializes.
-            let (_, serves) = probe_all(
-                &mut manager,
-                &table,
-                &config,
-                &planned_map,
-                &constants,
-                &planned,
-                &args,
+            let (_, stats) = probe_all(&mut manager, &table, &config, &planned_map, name);
+            assert_eq!(
+                stats.materialized_serves, 0,
+                "{name}: no store on the first tick"
             );
-            assert_eq!(serves, 0, "{agg_name}: no store on the first tick");
-            assert!(manager.materialized_entries() > 0, "{agg_name}");
+            assert!(manager.materialized_entries() > 0, "{name}");
 
             // Churn a handful of rows, hand the table back, probe again:
             // most answers are served from the store, all agree with scans.
@@ -2334,90 +2187,34 @@ mod tests {
                 table.set_attr(row, posx, Value::Float(new_x)).unwrap();
             }
             manager.end_tick(&table, &planned_map, &constants).unwrap();
-            let (fast, serves) = probe_all(
-                &mut manager,
-                &table,
-                &config,
-                &planned_map,
-                &constants,
-                &planned,
-                &args,
+            let stats = assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+            assert!(
+                stats.materialized_serves > 0,
+                "{name}: store must serve after churn"
             );
-            assert!(serves > 0, "{agg_name}: store must serve after churn");
-            let def = registry.aggregate(agg_name).unwrap();
-            for (row, answer) in fast.iter().enumerate() {
-                let unit = table.row(row);
-                let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
-                ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-                let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
-                match agg_name {
-                    "CountEnemiesInRange" => assert_eq!(
-                        answer.as_scalar().unwrap(),
-                        slow.as_scalar().unwrap(),
-                        "{agg_name} row {row}"
-                    ),
-                    _ => {
-                        for field in ["x", "y"] {
-                            let f = answer.field(field).unwrap().as_f64().unwrap();
-                            let s = slow.field(field).unwrap().as_f64().unwrap();
-                            assert!(
-                                (f - s).abs() < 1e-9,
-                                "{agg_name} row {row} field {field}: {f} vs {s}"
-                            );
-                        }
-                    }
-                }
-            }
         }
     }
 
     #[test]
     fn materialized_min_patches_inserts_and_invalidates_extremum_loss() {
-        use sgl_lang::ast::{Cond, Term};
-        use sgl_lang::builtins::{enemy_filter, rect_range_filter, AggOutput, AggregateDef};
-
         let (schema, mut table) = make_table(60);
-        let registry = paper_registry();
-        let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema);
-        let def = AggregateDef {
-            name: "WeakestEnemyHealth".into(),
-            params: vec!["u".into(), "range".into()],
-            filter: Cond::and(rect_range_filter(Term::name("range")), enemy_filter()),
-            spec: AggSpec::Simple {
-                outputs: vec![AggOutput {
-                    name: "value".into(),
-                    func: SimpleAgg::Min,
-                    value: Term::row("health"),
-                    default: Value::Float(-1.0),
-                }],
-            },
-        };
-        let mut planned = plan_aggregate(&def, &schema, config.spatial);
-        assert_eq!(planned.strategy, AggStrategy::SweepMinMax);
-        let mut planned_map: FxHashMap<String, PlannedAggregate> = FxHashMap::default();
-        planned_map.insert(def.name.clone(), planned.clone());
-        assert_eq!(crate::planner::force_materialized(&mut planned_map), 1);
-        planned = planned_map.get(&def.name).unwrap().clone();
-        let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(12.0)];
+        let constants = paper_registry().constants().clone();
+        let config = pinned(
+            &schema,
+            PhysicalBackend::Materialized,
+            MaintenanceChoice::Incremental,
+        );
+        let planned_map = weakest_enemy_site(&schema, &config);
+        let name = "WeakestEnemyHealth";
+        assert!(planned_map[name].is_materialized());
 
         let mut manager = IndexManager::new(&config);
-        probe_all(
-            &mut manager,
-            &table,
-            &config,
-            &planned_map,
-            &constants,
-            &planned,
-            &args,
-        );
-        let entries_before = manager.materialized_entries();
-        assert!(entries_before > 0);
+        probe_all(&mut manager, &table, &config, &planned_map, name);
+        assert!(manager.materialized_entries() > 0);
 
-        // Raise one unit's health far above every minimum: removal-safe for
-        // every subscription (the value was never the extremum is false —
-        // its OLD value may be an extremum somewhere, those invalidate; the
-        // rest patch in place).  The store keeps serving correct answers.
+        // Raise one unit's health far above every minimum: subscriptions
+        // whose extremum was its *old* value invalidate, the rest patch in
+        // place.  The store keeps serving correct answers.
         let health = schema.attr_id("health").unwrap();
         table.set_attr(5, health, Value::Int(999)).unwrap();
         manager.end_tick(&table, &planned_map, &constants).unwrap();
@@ -2425,54 +2222,15 @@ mod tests {
             manager.last_maint.mat_patched > 0,
             "non-extremum updates must patch in place"
         );
-        let (fast, serves) = probe_all(
-            &mut manager,
-            &table,
-            &config,
-            &planned_map,
-            &constants,
-            &planned,
-            &args,
-        );
-        assert!(serves > 0);
-        let rng = GameRng::new(7).for_tick(3);
-        for (row, answer) in fast.iter().enumerate() {
-            let unit = table.row(row);
-            let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
-            ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-            let slow = eval_aggregate_scan(&def, &ctx.bindings, &ctx, &table).unwrap();
-            assert_eq!(
-                answer.field("value").unwrap().as_f64().unwrap(),
-                slow.field("value").unwrap().as_f64().unwrap(),
-                "row {row}"
-            );
-        }
+        let stats = assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
+        assert!(stats.materialized_serves > 0);
 
         // Now make that unit the global minimum: every subscription that
         // sees it gets an exact insert-patch (their stored minimum folds
         // down), and the answers still match scans.
         table.set_attr(5, health, Value::Int(1)).unwrap();
         manager.end_tick(&table, &planned_map, &constants).unwrap();
-        let (fast, _) = probe_all(
-            &mut manager,
-            &table,
-            &config,
-            &planned_map,
-            &constants,
-            &planned,
-            &args,
-        );
-        for (row, answer) in fast.iter().enumerate() {
-            let unit = table.row(row);
-            let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
-            ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-            let slow = eval_aggregate_scan(&def, &ctx.bindings, &ctx, &table).unwrap();
-            assert_eq!(
-                answer.field("value").unwrap().as_f64().unwrap(),
-                slow.field("value").unwrap().as_f64().unwrap(),
-                "row {row}"
-            );
-        }
+        assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
     }
 
     #[test]
@@ -2480,28 +2238,29 @@ mod tests {
         let (schema, table) = make_table(40);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema);
+        let config = pinned(
+            &schema,
+            PhysicalBackend::Materialized,
+            MaintenanceChoice::Incremental,
+        );
         let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
-        crate::planner::force_materialized(&mut planned_map);
-        let planned = planned_map.get("CountEnemiesInRange").unwrap().clone();
-        let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(15.0)];
         let mut manager = IndexManager::new(&config);
         probe_all(
             &mut manager,
             &table,
             &config,
             &planned_map,
-            &constants,
-            &planned,
-            &args,
+            "CountEnemiesInRange",
         );
         assert!(manager.materialized_sites() > 0);
 
-        // Drop the choices (back to the heuristic): the next maintenance
+        // Pin the paper's per-tick structures instead: the next maintenance
         // pass retires the stores.
-        for plan in planned_map.values_mut() {
-            plan.choice = None;
-        }
+        install_pin(
+            &mut planned_map,
+            PhysicalBackend::LayeredTree,
+            MaintenanceChoice::PerTick,
+        );
         manager.mark_stale();
         manager.prepare(&table, &planned_map, &constants).unwrap();
         assert_eq!(manager.materialized_sites(), 0);
@@ -2534,19 +2293,26 @@ mod tests {
         ));
     }
 
-    /// Registry plans under the incremental policy with every materializable
-    /// site forced to a materialized store: maintained grids
-    /// (`getNearestEnemy`) and materialized answers (`CountEnemiesInRange`,
-    /// `CentroidOfEnemyUnits`, ...) share one mirror.
+    /// Registry plans with materialized answers pinned wherever offered
+    /// (`CountEnemiesInRange`, `CentroidOfEnemyUnits`, ...) and an
+    /// incrementally maintained grid for `getNearestEnemy`: both kinds share
+    /// one mirror.
     fn mixed_sites(table: &EnvTable) -> (ExecConfig, FxHashMap<String, PlannedAggregate>) {
-        let config =
-            ExecConfig::indexed(table.schema()).with_policy(MaintenancePolicy::Incremental);
+        let config = pinned(
+            table.schema(),
+            PhysicalBackend::Materialized,
+            MaintenanceChoice::Incremental,
+        );
         let mut planned = crate::tick::plan_registry(&paper_registry(), table, &config);
-        crate::planner::force_materialized(&mut planned);
+        pin_site(
+            planned.get_mut("getNearestEnemy").unwrap(),
+            PhysicalBackend::MaintainedGrid,
+            MaintenanceChoice::Incremental,
+        );
         (config, planned)
     }
 
-    /// The arguments every mirror test probes a registry aggregate with.
+    /// The arguments every test probes an aggregate with.
     fn probe_args(def: &sgl_lang::builtins::AggregateDef) -> Vec<ScriptValue> {
         if def.params.len() == 2 {
             vec![ScriptValue::scalar(0i64), ScriptValue::scalar(15.0)]
@@ -2555,61 +2321,18 @@ mod tests {
         }
     }
 
-    /// Every row's answer from the named site (absorbing its materialized
-    /// writes).
-    fn site_answers(
-        manager: &mut IndexManager,
-        table: &EnvTable,
-        config: &ExecConfig,
-        planned_map: &FxHashMap<String, PlannedAggregate>,
-        name: &str,
-    ) -> Vec<ScriptValue> {
-        let registry = paper_registry();
-        let planned = planned_map.get(name).unwrap();
-        let args = probe_args(registry.aggregate(name).unwrap());
-        let constants = registry.constants().clone();
-        probe_all(
-            manager,
-            table,
-            config,
-            planned_map,
-            &constants,
-            planned,
-            &args,
-        )
-        .0
-    }
-
-    /// The named site's answers equal those of a manager built from scratch
-    /// on the same table, bit for bit.
-    fn assert_agrees_with_rebuild(
-        manager: &mut IndexManager,
-        table: &EnvTable,
-        config: &ExecConfig,
-        planned_map: &FxHashMap<String, PlannedAggregate>,
-        name: &str,
-    ) {
-        let mut fresh = IndexManager::new(config);
-        assert_eq!(
-            site_answers(manager, table, config, planned_map, name),
-            site_answers(&mut fresh, table, config, planned_map, name),
-            "{name}"
-        );
-    }
-
     /// Probe every row through the named site and compare each answer with
-    /// a scan of the table.
+    /// a scan of the table; returns the probe statistics.
     fn assert_agrees_with_scans(
         manager: &mut IndexManager,
         table: &EnvTable,
         config: &ExecConfig,
         planned_map: &FxHashMap<String, PlannedAggregate>,
         name: &str,
-    ) {
-        let fast = site_answers(manager, table, config, planned_map, name);
-        let registry = paper_registry();
-        let constants = registry.constants().clone();
-        let def = registry.aggregate(name).unwrap();
+    ) -> TickStats {
+        let (fast, stats) = probe_all(manager, table, config, planned_map, name);
+        let constants = paper_registry().constants().clone();
+        let def = &planned_map[name].def;
         let args = probe_args(def);
         let spatial = config.spatial.unwrap();
         let rng = GameRng::new(7).for_tick(3);
@@ -2619,13 +2342,14 @@ mod tests {
             ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
             let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, table).unwrap();
             if name == "getNearestEnemy" {
-                // Ties may pick different keys; distances must agree.
+                // Ties may pick different keys; distances must agree (`None`
+                // for the default answer of a unit with no nearest enemy).
                 let dist = |answer: &ScriptValue| {
                     let key = answer.field("key").unwrap().as_i64().unwrap();
-                    let hit = table.row(table.find_key_readonly(key).unwrap());
+                    let hit = table.row(table.find_key_readonly(key)?);
                     let dx = hit.get_f64(spatial.x).unwrap() - unit.get_f64(spatial.x).unwrap();
                     let dy = hit.get_f64(spatial.y).unwrap() - unit.get_f64(spatial.y).unwrap();
-                    dx * dx + dy * dy
+                    Some(dx * dx + dy * dy)
                 };
                 assert_eq!(dist(answer), dist(&slow), "{name} row {row}");
                 continue;
@@ -2639,6 +2363,7 @@ mod tests {
                 assert!((a - b).abs() < 1e-9, "{name} row {row} {field}: {a} vs {b}");
             }
         }
+        stats
     }
 
     #[test]
@@ -2704,7 +2429,11 @@ mod tests {
         // A maintained centroid grid joins: its channel columns are new to
         // the mirror, so it builds from scratch while the others diff.
         let mut centroid = all.get("CentroidOfEnemyUnits").unwrap().clone();
-        centroid.choice = None;
+        pin_site(
+            &mut centroid,
+            PhysicalBackend::MaintainedGrid,
+            MaintenanceChoice::Incremental,
+        );
         planned_map.insert(centroid.def.name.clone(), centroid);
         let posx = schema.attr_id("posx").unwrap();
         for row in 0..4 {
@@ -2745,14 +2474,14 @@ mod tests {
         // re-sends the row.
         let second = manager.end_tick(&table, &planned_map, &constants).unwrap();
         assert_eq!(second.delta_ops, first.delta_ops);
-        // Scans and indexes disagree on whether a NaN position lies in a
-        // rectangle, so the reference here is a from-scratch build.
+        // A NaN position lies in no rectangle and is no one's nearest unit,
+        // for scans and indexes alike.
         for name in [
             "CountEnemiesInRange",
             "getNearestEnemy",
             "CentroidOfEnemyUnits",
         ] {
-            assert_agrees_with_rebuild(&mut manager, &table, &config, &planned_map, name);
+            assert_agrees_with_scans(&mut manager, &table, &config, &planned_map, name);
         }
     }
 }

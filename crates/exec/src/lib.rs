@@ -7,9 +7,11 @@
 //! ([`ExecMode::Compiled`]) answers each probe in `O(log n)` from the index
 //! structures of `sgl-index` (layered aggregate range trees, quadtrees,
 //! kD-trees, sweep-lines and maintained grids behind a categorical hash
-//! layer).  Whether those structures are rebuilt per tick or maintained
-//! across ticks is decided by the [`MaintenancePolicy`] carried in
-//! [`ExecConfig`] and enforced by the cross-tick [`IndexManager`].
+//! layer).  Which structure answers each call site, and whether it is
+//! rebuilt per tick or maintained across ticks, is the call site's
+//! [`PhysicalChoice`] — priced by the cost-based planner or pinned by
+//! [`PlannerMode::Pin`] — and the cross-tick [`IndexManager`] keeps the
+//! maintained ones in sync.
 //!
 //! Main entry points: [`execute_tick`] (throwaway manager) and
 //! [`execute_tick_with`] (caller-owned manager, used by the engine).
@@ -32,16 +34,17 @@ pub(crate) mod vm;
 
 pub use compile::{compile_script, CompileError, CompiledScript};
 pub use config::{
-    AdaptiveWindow, ExecConfig, ExecMode, MaintenancePolicy, Parallelism, PlannerMode,
-    RebuildBackend, SpatialAttrs, TickStats,
+    AdaptiveWindow, ExecConfig, ExecMode, Parallelism, PlannerMode, SpatialAttrs, TickStats,
 };
 pub use error::{ExecError, Result};
 pub use filter::{analyze_filter, FilterAnalysis};
 pub use indexes::{fingerprint_values, IndexManager, MaintStats, TickIndexes};
 pub use oracle::{execute_tick_oracle, OracleRun};
 pub use planner::{
-    choose_physical, force_materialized, plan_aggregate, strategy_class, AggStrategy,
-    PhysicalChoice, PlannedAggregate,
+    choose_physical, install_pin, plan_aggregate, strategy_class, AggStrategy, PhysicalChoice,
+    PlannedAggregate,
 };
+/// The two halves of a [`PlannerMode::Pin`], re-exported from the cost model.
+pub use sgl_algebra::cost::{MaintenanceChoice, PhysicalBackend};
 pub use stats::{CallObs, CallSiteStats, RuntimeStats, TickObservations, BACKEND_COUNT};
 pub use tick::{execute_tick, execute_tick_planned, execute_tick_with, plan_registry, ScriptRun};

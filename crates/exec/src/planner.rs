@@ -21,7 +21,7 @@ use sgl_index::traits::AggStructureKind;
 use sgl_lang::ast::Term;
 use sgl_lang::builtins::{AggSpec, AggregateDef, SimpleAgg};
 
-use crate::config::{ExecConfig, RebuildBackend, SpatialAttrs};
+use crate::config::SpatialAttrs;
 use crate::filter::{analyze_filter, FilterAnalysis};
 use crate::stats::RuntimeStats;
 
@@ -44,10 +44,9 @@ pub enum AggStrategy {
     Scan,
 }
 
-/// The cost-based planner's decision for one call site: the chosen physical
-/// backend and maintenance, the modeled cost, and every priced alternative
-/// (kept for `explain`).  `None` on a [`PlannedAggregate`] means the
-/// heuristic mapping applies (policy/backend from the configuration).
+/// The planner's decision for one call site: the chosen physical backend
+/// and maintenance, the modeled cost, and every priced alternative (kept for
+/// `explain`; empty for a pinned choice).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalChoice {
     /// The structure that answers this call site.
@@ -69,61 +68,27 @@ pub struct PlannedAggregate {
     pub analysis: FilterAnalysis,
     /// Chosen strategy.
     pub strategy: AggStrategy,
-    /// Cost-based physical choice; `None` under the heuristic planner.
+    /// The installed physical choice ([`choose_physical`] or
+    /// [`install_pin`]); `None` for scan strategies and for call sites no
+    /// planner has decided yet, which the executor answers by scanning.
     pub choice: Option<PhysicalChoice>,
 }
 
 impl PlannedAggregate {
-    /// Select the concrete structure backing this aggregate under the given
-    /// executor configuration — the physical half of the plan, separated
-    /// from the strategy so one logical plan runs under every
-    /// [`crate::config::MaintenancePolicy`] / [`RebuildBackend`] combination:
-    ///
-    /// * dynamic policies route every indexable aggregate to the maintained
-    ///   [`AggStructureKind::DynamicGrid`];
-    /// * rebuild policies pick the configured per-tick structure for
-    ///   divisible aggregates, and a quadtree for MIN/MAX aggregates whose
-    ///   probe rectangle is not centred on the unit (where the sweep-line
-    ///   batch of Figure 9 does not apply);
-    /// * `KdNearest` and `Scan` return `None` (kD-trees and scans are not
-    ///   aggregate-accumulator structures).
-    pub fn structure(&self, config: &ExecConfig) -> Option<AggStructureKind> {
-        if let Some(choice) = &self.choice {
-            // Cost-based: the choice names the structure directly.
-            return match choice.backend {
-                PhysicalBackend::Scan | PhysicalBackend::KdTree => None,
-                PhysicalBackend::LayeredTree => Some(AggStructureKind::LayeredTree {
-                    cascading: config.cascading,
-                }),
-                // `Sweep` keeps the quadtree as its fallback structure for
-                // probes the sweep batch cannot serve (non-centred rects).
-                PhysicalBackend::QuadTree | PhysicalBackend::Sweep => {
-                    Some(AggStructureKind::QuadTree { bucket: 8 })
-                }
-                PhysicalBackend::MaintainedGrid => {
-                    Some(AggStructureKind::DynamicGrid { cell: 0.0 })
-                }
-                // Materialized answers recompute through a per-tick quadtree
-                // on a miss; it is only built on ticks that actually miss, so
-                // the cheap-build structure wins over the layered tree here.
-                PhysicalBackend::Materialized => Some(AggStructureKind::QuadTree { bucket: 8 }),
-            };
-        }
-        match &self.strategy {
-            AggStrategy::Scan | AggStrategy::KdNearest => None,
-            AggStrategy::DivisibleTree { .. } | AggStrategy::SweepMinMax
-                if config.policy.is_dynamic() =>
-            {
-                Some(AggStructureKind::DynamicGrid { cell: 0.0 })
+    /// The per-tick structure backing this aggregate's choice: `None` for
+    /// scans, kD-trees (not aggregate-accumulator structures) and undecided
+    /// call sites.  `Sweep` and `Materialized` name their fallback
+    /// quadtree: the sweep batch cannot serve non-centred rectangles, and
+    /// materialized misses recompute through a structure that is only
+    /// built on ticks that actually miss, where the cheap build wins.
+    pub fn structure(&self) -> Option<AggStructureKind> {
+        match self.choice.as_ref()?.backend {
+            PhysicalBackend::Scan | PhysicalBackend::KdTree => None,
+            PhysicalBackend::LayeredTree => Some(AggStructureKind::LayeredTree),
+            PhysicalBackend::QuadTree | PhysicalBackend::Sweep | PhysicalBackend::Materialized => {
+                Some(AggStructureKind::QuadTree { bucket: 8 })
             }
-            AggStrategy::DivisibleTree { .. } => Some(match config.backend {
-                RebuildBackend::LayeredTree => AggStructureKind::LayeredTree {
-                    cascading: config.cascading,
-                },
-                RebuildBackend::QuadTree => AggStructureKind::QuadTree { bucket: 8 },
-            }),
-            // Fallback structure for sweep-ineligible probes.
-            AggStrategy::SweepMinMax => Some(AggStructureKind::QuadTree { bucket: 8 }),
+            PhysicalBackend::MaintainedGrid => Some(AggStructureKind::DynamicGrid { cell: 0.0 }),
         }
     }
 
@@ -144,6 +109,33 @@ impl PlannedAggregate {
     /// Whether the strategy is answered from an index at all.
     pub fn is_indexed(&self) -> bool {
         self.strategy != AggStrategy::Scan
+    }
+
+    fn chosen(&self, backend: PhysicalBackend) -> bool {
+        self.choice.as_ref().is_some_and(|c| c.backend == backend)
+    }
+
+    /// Whether a cross-tick maintained grid serves this call site.
+    pub fn is_maintained(&self) -> bool {
+        self.is_indexed() && self.chosen(PhysicalBackend::MaintainedGrid)
+    }
+
+    /// Whether a materialized answer store serves this call site: only for
+    /// the divisible and MIN/MAX strategies — nearest/argbest answers embed
+    /// output terms of the winning row that can change without any delta
+    /// the mirror observes, so they are never materialized.
+    pub fn is_materialized(&self) -> bool {
+        matches!(
+            self.strategy,
+            AggStrategy::DivisibleTree { .. } | AggStrategy::SweepMinMax
+        ) && self.chosen(PhysicalBackend::Materialized)
+    }
+
+    /// Whether this call site keeps state across ticks (a maintained grid
+    /// or materialized answers), which the end-of-tick maintenance pass
+    /// brings up to date with the tick's changes.
+    pub fn needs_maintenance(&self) -> bool {
+        self.is_maintained() || self.is_materialized()
     }
 }
 
@@ -233,7 +225,6 @@ pub fn choose_physical(
     stats: &RuntimeStats,
     constants: &CostConstants,
     cardinality: usize,
-    cascading: bool,
 ) -> usize {
     let mut switches = 0;
     for (name, plan) in planned.iter_mut() {
@@ -241,7 +232,7 @@ pub fn choose_physical(
             plan.choice = None;
             continue;
         };
-        let inputs = stats.inputs_for(name, cardinality, cascading);
+        let inputs = stats.inputs_for(name, cardinality);
         let alternatives = price_alternatives(class, &inputs, constants);
         let best = best_alternative(&alternatives);
         let changed = plan
@@ -262,44 +253,29 @@ pub fn choose_physical(
     switches
 }
 
-/// Whether the materialized-answer class is legal for a strategy class:
-/// divisible and MIN/MAX answers are pure functions of the matched multiset
-/// (which the delta stream tracks), while nearest/argbest answers embed
-/// arbitrary output terms of the winning row that can change without any
-/// tracked delta.
-pub fn materialization_legal(class: StrategyClass) -> bool {
-    matches!(class, StrategyClass::Divisible | StrategyClass::MinMax)
-}
-
-/// Install the materialized-answer class on every call site where it is
-/// legal, regardless of cost ([`crate::config::PlannerMode::ForceMaterialized`]).
-/// Nearest sites and scans keep their heuristic plan (`choice = None`).
-/// Returns how many call sites changed choice.
-pub fn force_materialized(planned: &mut FxHashMap<String, PlannedAggregate>) -> usize {
-    let mut switches = 0;
+/// Install a pinned physical choice ([`crate::config::PlannerMode::Pin`]) on
+/// every indexable call site whose strategy class offers it; the other
+/// indexable sites get their class's paper structure, scans get no choice.
+pub fn install_pin(
+    planned: &mut FxHashMap<String, PlannedAggregate>,
+    backend: PhysicalBackend,
+    maintenance: MaintenanceChoice,
+) {
     for plan in planned.values_mut() {
-        let legal = strategy_class(&plan.strategy).is_some_and(materialization_legal);
-        if !legal {
-            if plan.choice.take().is_some() {
-                switches += 1;
+        plan.choice = strategy_class(&plan.strategy).map(|class| {
+            let (backend, maintenance) = if class.offers(backend, maintenance) {
+                (backend, maintenance)
+            } else {
+                (class.paper_backend(), MaintenanceChoice::PerTick)
+            };
+            PhysicalChoice {
+                backend,
+                maintenance,
+                est_us: 0.0,
+                alternatives: Vec::new(),
             }
-            continue;
-        }
-        let already = plan
-            .choice
-            .as_ref()
-            .is_some_and(|c| c.backend == PhysicalBackend::Materialized);
-        if !already {
-            switches += 1;
-        }
-        plan.choice = Some(PhysicalChoice {
-            backend: PhysicalBackend::Materialized,
-            maintenance: MaintenanceChoice::Incremental,
-            est_us: 0.0,
-            alternatives: Vec::new(),
         });
     }
-    switches
 }
 
 fn choose_strategy(
@@ -534,48 +510,61 @@ mod tests {
         assert_eq!(plan.strategy, AggStrategy::Scan);
     }
 
+    fn paper_plans(schema: &Schema) -> FxHashMap<String, PlannedAggregate> {
+        let registry = paper_registry();
+        registry
+            .aggregate_names()
+            .into_iter()
+            .map(|name| {
+                let def = registry.aggregate(name).unwrap();
+                (
+                    name.to_string(),
+                    plan_aggregate(def, schema, spatial(schema)),
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn structure_selection_follows_policy_and_backend() {
-        use crate::config::ExecConfig;
+    fn structure_selection_follows_the_pin() {
         use sgl_index::traits::AggStructureKind;
         let schema = paper_schema();
-        let registry = paper_registry();
-        let count = plan_aggregate(
-            registry.aggregate("CountEnemiesInRange").unwrap(),
-            &schema,
-            spatial(&schema),
-        );
-        let nearest = plan_aggregate(
-            registry.aggregate("getNearestEnemy").unwrap(),
-            &schema,
-            spatial(&schema),
-        );
+        let mut planned = paper_plans(&schema);
+        // Undecided call sites name no structure (the executor scans).
+        assert_eq!(planned["CountEnemiesInRange"].structure(), None);
 
-        let rebuild = ExecConfig::indexed(&schema);
-        assert_eq!(
-            count.structure(&rebuild),
-            Some(AggStructureKind::LayeredTree { cascading: true })
+        let pins = [
+            (
+                PhysicalBackend::LayeredTree,
+                MaintenanceChoice::PerTick,
+                Some(AggStructureKind::LayeredTree),
+            ),
+            (
+                PhysicalBackend::QuadTree,
+                MaintenanceChoice::PerTick,
+                Some(AggStructureKind::QuadTree { bucket: 8 }),
+            ),
+            (
+                PhysicalBackend::MaintainedGrid,
+                MaintenanceChoice::Incremental,
+                Some(AggStructureKind::DynamicGrid { cell: 0.0 }),
+            ),
+        ];
+        for (backend, maintenance, structure) in pins {
+            install_pin(&mut planned, backend, maintenance);
+            let count = &planned["CountEnemiesInRange"];
+            assert_eq!(count.structure(), structure, "{backend:?}");
+            assert!(count.is_indexed());
+            assert!(count.channel_terms().is_empty());
+        }
+        // The kD-tree is not an accumulator structure.
+        install_pin(
+            &mut planned,
+            PhysicalBackend::LayeredTree,
+            MaintenanceChoice::PerTick,
         );
-        let quad = rebuild.with_backend(crate::config::RebuildBackend::QuadTree);
-        assert_eq!(
-            count.structure(&quad),
-            Some(AggStructureKind::QuadTree { bucket: 8 })
-        );
-        let incremental = rebuild.with_policy(crate::config::MaintenancePolicy::Incremental);
-        assert_eq!(
-            count.structure(&incremental),
-            Some(AggStructureKind::DynamicGrid { cell: 0.0 })
-        );
-        assert_eq!(nearest.structure(&rebuild), None);
-        assert!(count.is_indexed());
-        assert!(count.channel_terms().is_empty());
-
-        let centroid = plan_aggregate(
-            registry.aggregate("CentroidOfEnemyUnits").unwrap(),
-            &schema,
-            spatial(&schema),
-        );
-        assert_eq!(centroid.channel_terms().len(), 2);
+        assert_eq!(planned["getNearestEnemy"].structure(), None);
+        assert_eq!(planned["CentroidOfEnemyUnits"].channel_terms().len(), 2);
     }
 
     #[test]
@@ -641,7 +630,7 @@ mod tests {
 
         // Tiny environment: every indexable call site prices onto the scan
         // path; the first pass counts one switch per priced call site.
-        let switches = choose_physical(&mut planned, &stats, &constants, 6, true);
+        let switches = choose_physical(&mut planned, &stats, &constants, 6);
         let priced = planned
             .values()
             .filter(|p| strategy_class(&p.strategy).is_some())
@@ -655,7 +644,7 @@ mod tests {
                     assert!(!choice.alternatives.is_empty());
                     assert!(choice.est_us.is_finite());
                     // A scan choice routes probes away from the index cache.
-                    assert_eq!(plan.structure(&ExecConfig::indexed(&schema)), None);
+                    assert_eq!(plan.structure(), None);
                 }
                 (None, None) => {}
                 other => panic!("inconsistent choice {other:?}"),
@@ -663,12 +652,9 @@ mod tests {
         }
 
         // Same statistics again: nothing switches.
-        assert_eq!(
-            choose_physical(&mut planned, &stats, &constants, 6, true),
-            0
-        );
+        assert_eq!(choose_physical(&mut planned, &stats, &constants, 6), 0);
         // A big environment re-prices every call site off the scan path.
-        let switches = choose_physical(&mut planned, &stats, &constants, 5000, true);
+        let switches = choose_physical(&mut planned, &stats, &constants, 5000);
         assert_eq!(switches, priced);
         for plan in planned.values() {
             if let Some(choice) = &plan.choice {
@@ -678,8 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn choices_override_the_heuristic_structure_mapping() {
-        use sgl_algebra::cost::MaintenanceChoice;
+    fn choices_name_the_structure() {
         use sgl_index::traits::AggStructureKind;
         let schema = paper_schema();
         let registry = paper_registry();
@@ -688,69 +673,67 @@ mod tests {
             &schema,
             spatial(&schema),
         );
-        let config = ExecConfig::indexed(&schema);
         let choose = |backend| PhysicalChoice {
             backend,
             maintenance: MaintenanceChoice::PerTick,
             est_us: 1.0,
             alternatives: Vec::new(),
         };
-        count.choice = Some(choose(PhysicalBackend::QuadTree));
-        assert_eq!(
-            count.structure(&config),
-            Some(AggStructureKind::QuadTree { bucket: 8 })
-        );
-        count.choice = Some(choose(PhysicalBackend::MaintainedGrid));
-        assert_eq!(
-            count.structure(&config),
-            Some(AggStructureKind::DynamicGrid { cell: 0.0 })
-        );
-        count.choice = Some(choose(PhysicalBackend::LayeredTree));
-        assert_eq!(
-            count.structure(&config),
-            Some(AggStructureKind::LayeredTree { cascading: true })
-        );
         count.choice = Some(choose(PhysicalBackend::Scan));
-        assert_eq!(count.structure(&config), None);
+        assert_eq!(count.structure(), None);
         count.choice = Some(choose(PhysicalBackend::Materialized));
         assert_eq!(
-            count.structure(&config),
+            count.structure(),
             Some(AggStructureKind::QuadTree { bucket: 8 }),
             "the materialized miss path recomputes through a quadtree"
+        );
+        count.choice = Some(choose(PhysicalBackend::Sweep));
+        assert_eq!(
+            count.structure(),
+            Some(AggStructureKind::QuadTree { bucket: 8 }),
+            "non-centred sweep probes fall back to a quadtree"
         );
     }
 
     #[test]
-    fn force_materialized_targets_legal_sites_only() {
+    fn pins_fall_back_to_the_paper_structure_where_not_offered() {
         let schema = paper_schema();
-        let registry = paper_registry();
-        let mut planned = FxHashMap::default();
-        for name in registry.aggregate_names() {
-            let def = registry.aggregate(name).unwrap();
-            planned.insert(
-                name.to_string(),
-                plan_aggregate(def, &schema, spatial(&schema)),
-            );
-        }
-        let switches = force_materialized(&mut planned);
-        let legal = planned
-            .values()
-            .filter(|p| strategy_class(&p.strategy).is_some_and(materialization_legal))
-            .count();
-        assert!(legal > 0);
-        assert_eq!(switches, legal);
+        let mut planned = paper_plans(&schema);
+        install_pin(
+            &mut planned,
+            PhysicalBackend::Materialized,
+            MaintenanceChoice::Incremental,
+        );
+        let mut materialized = 0;
         for plan in planned.values() {
             match strategy_class(&plan.strategy) {
-                Some(class) if materialization_legal(class) => {
+                Some(StrategyClass::Nearest) => {
+                    let choice = plan.choice.as_ref().unwrap();
+                    assert_eq!(choice.backend, PhysicalBackend::KdTree, "{}", plan.def.name);
+                    assert_eq!(choice.maintenance, MaintenanceChoice::PerTick);
+                }
+                Some(_) => {
                     let choice = plan.choice.as_ref().unwrap();
                     assert_eq!(choice.backend, PhysicalBackend::Materialized);
                     assert_eq!(choice.maintenance, MaintenanceChoice::Incremental);
+                    materialized += 1;
                 }
-                _ => assert!(plan.choice.is_none(), "{}", plan.def.name),
+                None => assert!(plan.choice.is_none(), "{}", plan.def.name),
             }
         }
-        // Idempotent: a second pass switches nothing.
-        assert_eq!(force_materialized(&mut planned), 0);
+        assert!(materialized > 0);
+        // A pair no class offers pins every site to its paper structure.
+        install_pin(
+            &mut planned,
+            PhysicalBackend::Sweep,
+            MaintenanceChoice::Rebuild,
+        );
+        for plan in planned.values() {
+            if let Some(class) = strategy_class(&plan.strategy) {
+                let choice = plan.choice.as_ref().unwrap();
+                assert_eq!(choice.backend, class.paper_backend(), "{}", plan.def.name);
+            }
+        }
     }
 
     #[test]

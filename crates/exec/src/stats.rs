@@ -332,7 +332,7 @@ impl RuntimeStats {
     /// The cost-model inputs for a call site, bootstrapped with priors where
     /// nothing has been observed yet: every unit probes once per tick, a
     /// probe matches 10 % of the world, a third of the rows change per tick.
-    pub fn inputs_for(&self, name: &str, cardinality: usize, cascading: bool) -> CallSiteInputs {
+    pub fn inputs_for(&self, name: &str, cardinality: usize) -> CallSiteInputs {
         let n = cardinality as f64;
         let site = self.calls.get(name);
         let probes = match site {
@@ -356,7 +356,6 @@ impl RuntimeStats {
             selectivity,
             update_rate,
             partitions,
-            cascading,
         }
     }
 }
@@ -431,7 +430,7 @@ mod tests {
         let site = &stats.calls["Count"];
         assert!(!site.have_probes);
         assert_eq!(site.probes, 0.0);
-        assert_eq!(stats.inputs_for("Count", 100, true).probes, 100.0);
+        assert_eq!(stats.inputs_for("Count", 100).probes, 100.0);
 
         // Reactivation re-seeds at the full observed volume instead of
         // crawling up from the decayed remnant by halves.
@@ -443,7 +442,7 @@ mod tests {
     #[test]
     fn unseen_call_sites_get_priors() {
         let stats = RuntimeStats::default();
-        let inputs = stats.inputs_for("Never", 50, true);
+        let inputs = stats.inputs_for("Never", 50);
         assert_eq!(inputs.cardinality, 50.0);
         assert_eq!(inputs.probes, 50.0);
         assert!((inputs.selectivity - 0.1).abs() < 1e-12);

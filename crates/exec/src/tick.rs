@@ -29,10 +29,10 @@ use sgl_env::{AttrId, EffectBuffer, EnvTable, TickRandom, Value};
 use sgl_lang::builtins::Registry;
 
 use crate::compile::CompiledScript;
-use crate::config::{ExecConfig, TickStats};
+use crate::config::{ExecConfig, PlannerMode, TickStats};
 use crate::error::{ExecError, Result};
 use crate::indexes::{IndexManager, MatWrite, TickIndexes};
-use crate::planner::{plan_aggregate, PlannedAggregate};
+use crate::planner::{install_pin, plan_aggregate, PlannedAggregate};
 use crate::stats::TickObservations;
 
 /// One script to run in a tick: its register bytecode plus the acting units
@@ -56,7 +56,7 @@ impl<'p> ScriptRun<'p> {
 }
 
 /// Execute one clock tick with a throwaway [`IndexManager`] (every index is
-/// rebuilt, regardless of the configured policy — callers that want
+/// built from scratch, whatever the pinned maintenance — callers that want
 /// cross-tick maintenance keep a manager alive and use
 /// [`execute_tick_with`], as `sgl_engine::Simulation` does).
 pub fn execute_tick(
@@ -70,7 +70,11 @@ pub fn execute_tick(
     execute_tick_with(table, registry, runs, rng, config, &mut manager)
 }
 
-/// Plan every registry aggregate once (index selection is per-definition).
+/// Plan every registry aggregate once (index selection is per-definition)
+/// and, under an indexed [`PlannerMode::Pin`], install the pinned physical
+/// choices.  Cost-based choices depend on runtime statistics, so the
+/// caller's planner installs them (`sgl_engine::Simulation` does so before
+/// the first tick); until then those call sites scan.
 pub fn plan_registry(
     registry: &Registry,
     table: &EnvTable,
@@ -84,12 +88,17 @@ pub fn plan_registry(
             plan_aggregate(def, schema, config.spatial),
         );
     }
+    if let (true, PlannerMode::Pin(backend, maintenance)) =
+        (config.mode.uses_indexes(), config.planner)
+    {
+        install_pin(&mut planned, backend, maintenance);
+    }
     planned
 }
 
 /// Execute one clock tick: run every script over its acting units and return
 /// the combined effect relation plus execution statistics.  Index structures
-/// come from `manager` according to its maintenance policy.
+/// come from `manager` according to each call site's physical choice.
 pub fn execute_tick_with(
     table: &EnvTable,
     registry: &Registry,
@@ -136,7 +145,6 @@ pub fn execute_tick_planned(
     let shared = TickShared {
         table,
         registry,
-        config,
         rng,
         constants,
         planned,
@@ -294,7 +302,7 @@ fn run_shard<'a>(
     direct: bool,
 ) -> Result<(EffectSink, TickStats, TickObservations, Vec<MatWrite>)> {
     let cache = match manager {
-        Some(manager) => manager.tick_view(shared.table, shared.config, shared.constants)?,
+        Some(manager) => manager.tick_view(shared.table, shared.constants)?,
         None => None,
     };
     let mut state = ShardState {
@@ -326,7 +334,6 @@ fn run_shard<'a>(
 pub(crate) struct TickShared<'a> {
     pub(crate) table: &'a EnvTable,
     pub(crate) registry: &'a Registry,
-    pub(crate) config: &'a ExecConfig,
     pub(crate) rng: &'a TickRandom,
     pub(crate) constants: &'a FxHashMap<String, Value>,
     pub(crate) planned: &'a FxHashMap<String, PlannedAggregate>,

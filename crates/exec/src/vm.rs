@@ -324,7 +324,7 @@ impl Vm {
                     let take = match op {
                         CmpOp::Eq => l.loose_eq(r),
                         CmpOp::Ne => !l.loose_eq(r),
-                        _ => op.holds(l.compare(r)?),
+                        _ => l.partial_compare(r)?.is_some_and(|ord| op.holds(ord)),
                     };
                     pc = if take { *if_true } else { *if_false } as usize;
                     continue;
@@ -413,7 +413,6 @@ impl Vm {
         // back below; an early `?` return abandons it, which is fine — the
         // whole run (and this `Vm`) is discarded when a tick errors.
         full_ctx.bindings = std::mem::take(&mut self.perform_params[site_idx]);
-        let config = shared.config;
         let schema = shared.table.schema();
         let mut no_aggs = NoAggregates;
 
@@ -429,7 +428,7 @@ impl Vm {
                 if let Some(idx) = shared.table.find_key_readonly(key) {
                     self.candidates.push(idx as u32);
                 }
-            } else if config.aoe_index && analysis.conjunctive {
+            } else if analysis.conjunctive {
                 if let (Some(x_lo), Some(x_hi), Some(y_lo), Some(y_hi)) = (
                     &analysis.x_lo,
                     &analysis.x_hi,

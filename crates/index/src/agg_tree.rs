@@ -12,6 +12,8 @@
 //! `O(1)` after a single binary search at the root, giving `O(log n)`.
 
 use crate::divisible::DivAcc;
+use std::cmp::Ordering;
+
 use crate::{Point2, Rect};
 
 /// One data entry: a position plus the values of the aggregated channels.
@@ -259,8 +261,13 @@ impl LayeredAggTree {
             let mut lb = Vec::with_capacity(len + 1);
             let mut ub = Vec::with_capacity(len + 1);
             let mut pl = 0usize;
+            // Positions follow the lists' NaN-last order: a NaN in this
+            // node bridges past every finite child value.  (With IEEE `<` a
+            // query whose lower bound lands on a NaN would inherit the
+            // bridge of the largest finite value and re-admit its ties.)
+            let before = |a: f64, b: f64| crate::nan_last_cmp(a, b) == Ordering::Less;
             for i in 0..len {
-                while pl < child.ys.len() && child.ys[pl] < node.ys[i] {
+                while pl < child.ys.len() && before(child.ys[pl], node.ys[i]) {
                     pl += 1;
                 }
                 lb.push(pl as u32);
@@ -270,7 +277,7 @@ impl LayeredAggTree {
             let mut pu = 0usize;
             for i in 1..=len {
                 let v = node.ys[i - 1];
-                while pu < child.ys.len() && child.ys[pu] <= v {
+                while pu < child.ys.len() && !before(v, child.ys[pu]) {
                     pu += 1;
                 }
                 ub.push(pu as u32);

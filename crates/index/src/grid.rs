@@ -361,8 +361,8 @@ impl DynCell {
 /// A dynamically maintained uniform hash grid with per-cell aggregate
 /// summaries — the *maintained* counterpart of the per-tick structures
 /// (§5.3 argues rebuilding beats maintaining; this structure is the
-/// maintenance side of that measurement, wired into the engine through the
-/// `Incremental` maintenance policy).
+/// maintenance side of that measurement, wired into the engine as the
+/// `MaintainedGrid` physical backend).
 ///
 /// Supports `O(1)` expected-time row insertion/removal/update
 /// ([`AggIndex::apply_delta`]), exact divisible aggregates and exact
@@ -480,7 +480,7 @@ impl DynamicAggGrid {
                 continue;
             }
             let d2 = query.dist2(point);
-            if best.is_none_or(|(bid, bd)| d2 < bd || (d2 == bd && id < bid)) {
+            if !d2.is_nan() && best.is_none_or(|(bid, bd)| d2 < bd || (d2 == bd && id < bid)) {
                 best = Some((id, d2));
             }
         }
@@ -695,7 +695,9 @@ impl SpatialIndex for DynamicAggGrid {
 
     fn probe_nearest(&self, query: &Point2) -> Option<(u64, f64)> {
         let (x0, x1, y0, y1) = self.cell_bounds?;
-        if self.rows.is_empty() {
+        // Every distance from a NaN query is NaN, and a NaN distance never
+        // wins (as in `KdTree::nearest` and the scan reference).
+        if self.rows.is_empty() || query.x.is_nan() || query.y.is_nan() {
             return None;
         }
         let qc = self.cell_of(query);

@@ -125,9 +125,10 @@ impl Rect {
         p.x >= self.x_min && p.x <= self.x_max && p.y >= self.y_min && p.y <= self.y_max
     }
 
-    /// Is the rectangle empty (no point can satisfy it)?
+    /// Is the rectangle empty (no point can satisfy it)?  A NaN bound makes
+    /// every containment test false, so such a rectangle is empty too.
     pub fn is_empty(&self) -> bool {
-        self.x_min > self.x_max || self.y_min > self.y_max
+        !(self.x_min <= self.x_max && self.y_min <= self.y_max)
     }
 }
 
@@ -144,6 +145,8 @@ mod tests {
         assert!(!r.contains(&Point2::new(4.9, 20.0)));
         assert!(!r.is_empty());
         assert!(Rect::new(1.0, 0.0, 0.0, 1.0).is_empty());
+        assert!(Rect::centered(f64::NAN, 20.0, 5.0).is_empty());
+        assert!(!Rect::new(f64::NEG_INFINITY, f64::INFINITY, 0.0, 0.0).is_empty());
     }
 
     #[test]

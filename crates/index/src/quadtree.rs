@@ -104,7 +104,16 @@ impl AggQuadTree {
             bucket,
             root: NO_CHILD,
         };
-        if entries.is_empty() {
+        // Quarantine non-finite positions (as the maintained grid does): a
+        // NaN point lies in no rectangle, yet inserted it would be folded
+        // into the summary of whichever node it fell into.
+        let finite: Vec<u32> = (0..entries.len() as u32)
+            .filter(|&id| {
+                let p = &entries[id as usize].point;
+                p.x.is_finite() && p.y.is_finite()
+            })
+            .collect();
+        if finite.is_empty() {
             return tree;
         }
         // World bounds: the tight bounding square of the points, slightly
@@ -113,17 +122,18 @@ impl AggQuadTree {
         let mut x_max = f64::NEG_INFINITY;
         let mut y_min = f64::INFINITY;
         let mut y_max = f64::NEG_INFINITY;
-        for e in entries {
-            x_min = x_min.min(e.point.x);
-            x_max = x_max.max(e.point.x);
-            y_min = y_min.min(e.point.y);
-            y_max = y_max.max(e.point.y);
+        for &id in &finite {
+            let p = &entries[id as usize].point;
+            x_min = x_min.min(p.x);
+            x_max = x_max.max(p.x);
+            y_min = y_min.min(p.y);
+            y_max = y_max.max(p.y);
         }
         let side = ((x_max - x_min).max(y_max - y_min)).max(1e-9) * 1.000_001;
         let bounds = Rect::new(x_min, x_min + side, y_min, y_min + side);
         let root = tree.new_node(bounds);
         tree.root = root;
-        for id in 0..entries.len() as u32 {
+        for id in finite {
             tree.insert(root, id, 0);
         }
         tree

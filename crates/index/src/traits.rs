@@ -206,11 +206,9 @@ pub trait SpatialIndex {
 /// Which concrete structure backs an [`AggIndex`], with its build parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AggStructureKind {
-    /// The paper's layered aggregate range tree (Figure 8), rebuilt per tick.
-    LayeredTree {
-        /// Use fractional cascading in the inner level.
-        cascading: bool,
-    },
+    /// The paper's layered aggregate range tree (Figure 8) with fractional
+    /// cascading in the inner level, rebuilt per tick.
+    LayeredTree,
     /// Bucket PR quadtree with per-node summaries (divisible + exact
     /// MIN/MAX), rebuilt per tick.
     QuadTree {
@@ -233,9 +231,8 @@ pub fn build_agg_index(
     rows: &[IndexRow],
 ) -> Box<dyn AggIndex + Send> {
     let mut index: Box<dyn AggIndex + Send> = match kind {
-        AggStructureKind::LayeredTree { cascading } => Box::new(LayeredAggIndex {
-            tree: LayeredAggTree::build(&[], channels, cascading),
-            cascading,
+        AggStructureKind::LayeredTree => Box::new(LayeredAggIndex {
+            tree: LayeredAggTree::build(&[], channels, true),
             channels,
         }),
         AggStructureKind::QuadTree { bucket } => Box::new(QuadAggIndex {
@@ -255,7 +252,6 @@ pub fn build_agg_index(
 /// [`AggIndex`] adapter over the layered aggregate range tree.
 struct LayeredAggIndex {
     tree: LayeredAggTree,
-    cascading: bool,
     channels: usize,
 }
 
@@ -273,7 +269,7 @@ impl AggIndex for LayeredAggIndex {
             .iter()
             .map(|r| AggEntry::new(r.point, r.values.clone()))
             .collect();
-        self.tree = LayeredAggTree::build(&entries, self.channels, self.cascading);
+        self.tree = LayeredAggTree::build(&entries, self.channels, true);
     }
 
     fn probe_rect(&self, rect: &Rect) -> DivAcc {
@@ -509,8 +505,7 @@ mod tests {
         let rect = Rect::new(20.0, 70.0, 10.0, 60.0);
         let expected = brute(&data, &rect);
         for kind in [
-            AggStructureKind::LayeredTree { cascading: true },
-            AggStructureKind::LayeredTree { cascading: false },
+            AggStructureKind::LayeredTree,
             AggStructureKind::QuadTree { bucket: 8 },
             AggStructureKind::DynamicGrid { cell: 0.0 },
         ] {
@@ -532,7 +527,7 @@ mod tests {
         let rect = Rect::new(0.0, 100.0, 0.0, 100.0);
         let quad = build_agg_index(AggStructureKind::QuadTree { bucket: 8 }, 1, &data);
         let grid = build_agg_index(AggStructureKind::DynamicGrid { cell: 0.0 }, 1, &data);
-        let tree = build_agg_index(AggStructureKind::LayeredTree { cascading: true }, 1, &data);
+        let tree = build_agg_index(AggStructureKind::LayeredTree, 1, &data);
         assert!(quad.supports_extremum());
         assert!(grid.supports_extremum());
         assert!(!tree.supports_extremum());
@@ -550,7 +545,7 @@ mod tests {
     #[test]
     fn delta_support_matches_structure_class() {
         let data = rows(50, 1);
-        let mut tree = build_agg_index(AggStructureKind::LayeredTree { cascading: true }, 1, &data);
+        let mut tree = build_agg_index(AggStructureKind::LayeredTree, 1, &data);
         let mut grid = build_agg_index(AggStructureKind::DynamicGrid { cell: 0.0 }, 1, &data);
         let delta = IndexDelta::Remove {
             id: data[0].id,

@@ -109,6 +109,35 @@ fn layered_tree_with_nan_entries_aggregates_only_finite_rows() {
     }
 }
 
+/// Rectangles above, below and across the finite points: a query whose
+/// lower bound in some node lands on a NaN y must bridge past every finite
+/// child value, not re-admit the largest one.
+#[test]
+fn layered_tree_queries_match_the_naive_filter_under_nan_ys() {
+    let (points, finite) = contaminated_points(48);
+    let entries: Vec<AggEntry> = points
+        .iter()
+        .map(|p| AggEntry::new(*p, vec![1.0]))
+        .collect();
+    for cascading in [false, true] {
+        let tree = LayeredAggTree::build(&entries, 1, cascading);
+        for y_min in [-10.0, 0.0, 12.5, 30.0, 49.0, 60.0] {
+            for x_min in [-10.0, 10.0, 45.0] {
+                let rect = Rect::new(x_min, x_min + 20.0, y_min, y_min + 15.0);
+                let expected = finite
+                    .iter()
+                    .filter(|&&i| rect.contains(&points[i]))
+                    .count();
+                assert_eq!(
+                    tree.query(&rect).count() as usize,
+                    expected,
+                    "cascading={cascading} rect={rect:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn sweepline_with_nan_data_and_queries_matches_the_naive_filter() {
     let (points, _) = contaminated_points(54);

@@ -329,8 +329,8 @@ pub fn eval_cond(
             if matches!(op, crate::ast::CmpOp::Ne) {
                 return Ok(!ls.loose_eq(rs));
             }
-            let ord = ls.compare(rs)?;
-            Ok(op.holds(ord))
+            // NaN is unordered: every ordering condition on it is false.
+            Ok(ls.partial_compare(rs)?.is_some_and(|ord| op.holds(ord)))
         }
         Cond::And(a, b) => Ok(eval_cond(a, ctx, aggs)? && eval_cond(b, ctx, aggs)?),
         Cond::Or(a, b) => Ok(eval_cond(a, ctx, aggs)? || eval_cond(b, ctx, aggs)?),

@@ -11,25 +11,21 @@ use crate::ast::{Action, AggCall, BinOp, CmpOp, Cond, FunctionDef, Script, Term,
 use crate::error::{LangError, Pos, Result};
 use crate::lexer::{tokenize, Tok, Token};
 
+/// Deepest nesting of statements, conditions or terms the parsers accept
+/// (this one and [`crate::sql`]'s).  Scripts and SQL definitions are game
+/// content, so a hostile input must end in a typed [`LangError::Parse`],
+/// not a stack overflow — here, and in every later pass that recurses over
+/// the tree.
+pub const MAX_NESTING: usize = 128;
+
 /// Parse a complete SGL script.
 pub fn parse_script(src: &str) -> Result<Script> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        unit_param: "u".to_string(),
-    };
-    p.script()
+    Parser::new(src)?.script()
 }
 
 /// Parse a single term (used by tests and by programmatic builders).
 pub fn parse_term(src: &str) -> Result<Term> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        unit_param: "u".to_string(),
-    };
+    let mut p = Parser::new(src)?;
     let t = p.term()?;
     p.expect_eof()?;
     Ok(t)
@@ -37,12 +33,7 @@ pub fn parse_term(src: &str) -> Result<Term> {
 
 /// Parse a single condition.
 pub fn parse_cond(src: &str) -> Result<Cond> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        unit_param: "u".to_string(),
-    };
+    let mut p = Parser::new(src)?;
     let c = p.cond()?;
     p.expect_eof()?;
     Ok(c)
@@ -52,9 +43,41 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     unit_param: String,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
+}
+
+/// The parse error for entering one more level at `depth` past
+/// [`MAX_NESTING`] (shared by the SGL and SQL parsers).
+pub(crate) fn check_nesting(depth: usize, pos: Pos) -> Result<()> {
+    if depth < MAX_NESTING {
+        return Ok(());
+    }
+    Err(LangError::Parse {
+        pos,
+        message: format!("nesting deeper than {MAX_NESTING} levels"),
+    })
 }
 
 impl Parser {
+    fn new(src: &str) -> Result<Parser> {
+        Ok(Parser {
+            tokens: tokenize(src)?,
+            pos: 0,
+            unit_param: "u".to_string(),
+            depth: 0,
+        })
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        check_nesting(self.depth, self.peek_pos())?;
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
     }
@@ -209,6 +232,10 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Action> {
+        self.nested(Self::statement_inner)
+    }
+
+    fn statement_inner(&mut self) -> Result<Action> {
         match self.peek().clone() {
             Tok::Semi => {
                 self.bump();
@@ -325,13 +352,13 @@ impl Parser {
     }
 
     fn cond_not(&mut self) -> Result<Cond> {
-        match self.peek().clone() {
+        self.nested(|p| match p.peek().clone() {
             Tok::Ident(n) if n == "not" => {
-                self.bump();
-                Ok(Cond::not(self.cond_not()?))
+                p.bump();
+                Ok(Cond::not(p.cond_not()?))
             }
-            _ => self.cond_primary(),
-        }
+            _ => p.cond_primary(),
+        })
     }
 
     fn cond_primary(&mut self) -> Result<Cond> {
@@ -418,11 +445,13 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Term> {
-        if *self.peek() == Tok::Minus {
-            self.bump();
-            return Ok(Term::Neg(Box::new(self.unary()?)));
-        }
-        self.postfix()
+        self.nested(|p| {
+            if *p.peek() == Tok::Minus {
+                p.bump();
+                return Ok(Term::Neg(Box::new(p.unary()?)));
+            }
+            p.postfix()
+        })
     }
 
     fn postfix(&mut self) -> Result<Term> {
@@ -535,6 +564,37 @@ mod tests {
           }
         }
     "#;
+
+    fn is_nesting_error(err: &LangError) -> bool {
+        matches!(err, LangError::Parse { message, .. } if message.contains("nesting"))
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let deep = |open: &str, inner: &str, close: &str| {
+            format!("{}{inner}{}", open.repeat(10_000), close.repeat(10_000))
+        };
+        let errors = [
+            parse_term(&deep("(", "1", ")")).unwrap_err(),
+            parse_term(&deep("- ", "1", "")).unwrap_err(),
+            parse_term(&deep("abs(", "1", ")")).unwrap_err(),
+            parse_cond(&deep("(", "1 < 2", ")")).unwrap_err(),
+            parse_cond(&deep("not ", "true", "")).unwrap_err(),
+            parse_script(&format!("main(u) {{ {} }}", deep("{", ";", "}"))).unwrap_err(),
+            parse_script(&format!(
+                "main(u) {{ {} }}",
+                deep("if 1 < 2 then ", ";", "")
+            ))
+            .unwrap_err(),
+        ];
+        for err in &errors {
+            assert!(is_nesting_error(err), "{err}");
+        }
+        // Nesting within the budget still parses.
+        let ok = MAX_NESTING / 2;
+        let term = format!("{}1{}", "(".repeat(ok), ")".repeat(ok));
+        assert_eq!(parse_term(&term).unwrap(), Term::int(1));
+    }
 
     #[test]
     fn figure_three_parses() {

@@ -119,6 +119,8 @@ struct SqlParser {
     unit_param: String,
     /// FROM alias for the candidate row (`e` by default).
     row_alias: String,
+    /// Current nesting depth (see [`crate::parser::MAX_NESTING`]).
+    depth: usize,
 }
 
 impl SqlParser {
@@ -128,7 +130,17 @@ impl SqlParser {
             pos: 0,
             unit_param: "u".into(),
             row_alias: "e".into(),
+            depth: 0,
         }
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        crate::parser::check_nesting(self.depth, self.peek_pos())?;
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &Tok {
@@ -421,10 +433,12 @@ impl SqlParser {
     }
 
     fn cond_not(&mut self) -> Result<Cond> {
-        if self.eat_keyword("not") {
-            return Ok(Cond::not(self.cond_not()?));
-        }
-        self.cond_primary()
+        self.nested(|p| {
+            if p.eat_keyword("not") {
+                return Ok(Cond::not(p.cond_not()?));
+            }
+            p.cond_primary()
+        })
     }
 
     fn cond_primary(&mut self) -> Result<Cond> {
@@ -503,11 +517,13 @@ impl SqlParser {
     }
 
     fn unary(&mut self) -> Result<Term> {
-        if *self.peek() == Tok::Minus {
-            self.bump();
-            return Ok(Term::Neg(Box::new(self.unary()?)));
-        }
-        self.primary()
+        self.nested(|p| {
+            if *p.peek() == Tok::Minus {
+                p.bump();
+                return Ok(Term::Neg(Box::new(p.unary()?)));
+            }
+            p.primary()
+        })
     }
 
     fn primary(&mut self) -> Result<Term> {
@@ -1444,6 +1460,24 @@ mod tests {
         assert_eq!(def.filter.conjuncts().unwrap().len(), 1);
         // Untouched definitions survive.
         assert!(registry.action("Heal").is_some());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let n = 10_000;
+        for body in [
+            format!("WHERE {}e.key = 1{}", "(".repeat(n), ")".repeat(n)),
+            format!("WHERE {}e.key = 1", "NOT ".repeat(n)),
+            format!("WHERE e.key = {}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("WHERE e.key = {}1", "- ".repeat(n)),
+        ] {
+            let src = format!("function F(u) returns SELECT Count(*) FROM E e {body};");
+            let err = parse_sql_items(&src).unwrap_err();
+            assert!(
+                matches!(&err, LangError::Parse { message, .. } if message.contains("nesting")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

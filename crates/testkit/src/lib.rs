@@ -38,26 +38,57 @@ pub use soak::{run_soak, SoakFailure, SoakReport, SoakSpec};
 pub use world_gen::{generate_world, GeneratedWorld, WorldLayout, WorldSpec};
 
 use sgl_core::env::Schema;
-use sgl_core::exec::{ExecConfig, MaintenancePolicy, Parallelism, PlannerMode, RebuildBackend};
+use sgl_core::exec::{ExecConfig, MaintenanceChoice, Parallelism, PhysicalBackend, PlannerMode};
+
+/// The pins the lattice sweeps, by label: the paper's structures, the
+/// quadtree (which also takes MIN/MAX sites), maintained grids patched or
+/// rebuilt, and materialized answers.  A class that does not offer a pin
+/// runs its paper structure.
+const LATTICE_PINS: [(&str, PhysicalBackend, MaintenanceChoice); 5] = [
+    (
+        "layered",
+        PhysicalBackend::LayeredTree,
+        MaintenanceChoice::PerTick,
+    ),
+    (
+        "quadtree",
+        PhysicalBackend::QuadTree,
+        MaintenanceChoice::PerTick,
+    ),
+    (
+        "grid-incremental",
+        PhysicalBackend::MaintainedGrid,
+        MaintenanceChoice::Incremental,
+    ),
+    (
+        "grid-rebuild",
+        PhysicalBackend::MaintainedGrid,
+        MaintenanceChoice::Rebuild,
+    ),
+    (
+        "materialized",
+        PhysicalBackend::Materialized,
+        MaintenanceChoice::Incremental,
+    ),
+];
 
 /// The full executor-configuration lattice the conformance and golden-digest
-/// suites sweep (27 configurations, every one on the bytecode VM):
+/// suites sweep (21 configurations, every one on the bytecode VM):
 ///
 /// ```text
-/// naive × {serial, 2, 4 threads}
-///   + compiled × {RebuildEachTick, Incremental, Adaptive}
-///              × {LayeredTree, QuadTree} × {serial, 2, 4 threads}
-///   + compiled/costbased(window=2) × {serial, 2, 4 threads}
-///   + compiled/materialized × {serial, 2, 4 threads}
+/// (naive + pin/{layered, quadtree, grid-incremental, grid-rebuild,
+///               materialized} + costbased/w2) × {serial, 2, 4 threads}
 /// ```
 ///
-/// Maintenance policy and rebuild backend are index-layer knobs, so the
-/// naive mode contributes one entry per thread count.  The cost-based rows
-/// run the adaptive planner with a 2-tick re-costing window, so a 4–6 tick
-/// conformance case re-costs (and may swap backends per call site) mid-run —
-/// proving adaptivity is observationally neutral.  The oracle configuration
-/// ([`ExecConfig::oracle`]) is deliberately *not* part of the lattice: it is
-/// the reference the lattice is compared against.
+/// Pins are index-layer choices, so the naive mode contributes one entry
+/// per thread count.  The pins make every physical alternative run
+/// deterministically, including ones the cost model rarely picks on short
+/// generated worlds (materialized answers, rebuilt grids).  The cost-based
+/// rows run the adaptive planner with a 2-tick re-costing window, so a 4–6
+/// tick conformance case re-costs (and may swap backends per call site)
+/// mid-run — proving adaptivity is observationally neutral.  The oracle
+/// configuration ([`ExecConfig::oracle`]) is deliberately *not* part of the
+/// lattice: it is the reference the lattice is compared against.
 pub fn config_lattice(schema: &Schema) -> Vec<(String, ExecConfig)> {
     let mut configs = Vec::new();
     let threads = [
@@ -70,38 +101,18 @@ pub fn config_lattice(schema: &Schema) -> Vec<(String, ExecConfig)> {
             format!("naive/{tname}"),
             ExecConfig::naive(schema).with_parallelism(par),
         ));
-        for (pname, policy) in [
-            ("rebuild", MaintenancePolicy::RebuildEachTick),
-            ("incremental", MaintenancePolicy::Incremental),
-            ("adaptive", MaintenancePolicy::adaptive()),
-        ] {
-            for (bname, backend) in [
-                ("layered", RebuildBackend::LayeredTree),
-                ("quadtree", RebuildBackend::QuadTree),
-            ] {
-                configs.push((
-                    format!("compiled/{pname}/{bname}/{tname}"),
-                    ExecConfig::indexed(schema)
-                        .with_policy(policy)
-                        .with_backend(backend)
-                        .with_parallelism(par),
-                ));
-            }
+        for (pname, backend, maintenance) in LATTICE_PINS {
+            configs.push((
+                format!("pin/{pname}/{tname}"),
+                ExecConfig::indexed(schema)
+                    .with_planner(PlannerMode::Pin(backend, maintenance))
+                    .with_parallelism(par),
+            ));
         }
         configs.push((
-            format!("compiled/costbased/w2/{tname}"),
+            format!("costbased/w2/{tname}"),
             ExecConfig::cost_based(schema)
                 .with_planner(PlannerMode::cost_based(2))
-                .with_parallelism(par),
-        ));
-        // Forced materialization: every divisible / min-max call site serves
-        // from the delta-patched answer store.  The generated worlds are too
-        // short for the cost model to pick materialization on its own, so
-        // the conformance rows force it to prove behaviour neutrality.
-        configs.push((
-            format!("compiled/materialized/{tname}"),
-            ExecConfig::cost_based(schema)
-                .with_planner(PlannerMode::ForceMaterialized)
                 .with_parallelism(par),
         ));
     }

@@ -4,8 +4,8 @@
 //! update rate crosses the modeled break-even), that the planned and
 //! *executed* choices are both surfaced in `explain`, and that the whole
 //! adaptive machinery is observationally neutral — bit-identical
-//! `StateDigest`s against the heuristic planner and the oracle interpreter.
-//! (The full 27-entry configuration lattice, including the cost-based rows,
+//! `StateDigest`s against the paper pin and the oracle interpreter.
+//! (The full 21-entry configuration lattice, including the cost-based rows,
 //! is swept by `tests/conformance.rs` and `tests/golden_digests.rs`.)
 
 use sgl::battle::{BattleScenario, ScenarioConfig};
@@ -42,13 +42,13 @@ fn cost_based_is_digest_identical_to_heuristic_and_oracle() {
         let case = ConformanceCase::generate_sized(seed, 8, 40);
         let schema = &case.world.schema;
         let oracle = case.digests(ExecConfig::oracle(schema));
-        let heuristic = case.digests(ExecConfig::indexed(schema));
+        let paper = case.digests(ExecConfig::indexed(schema));
         // Window 1: re-cost every tick — maximal opportunity to diverge.
         let cost1 =
             case.digests(ExecConfig::cost_based(schema).with_planner(PlannerMode::cost_based(1)));
         let cost2 =
             case.digests(ExecConfig::cost_based(schema).with_planner(PlannerMode::cost_based(2)));
-        assert_eq!(oracle, heuristic, "seed {seed}: heuristic vs oracle");
+        assert_eq!(oracle, paper, "seed {seed}: paper pin vs oracle");
         assert_eq!(oracle, cost1, "seed {seed}: cost-based(1) vs oracle");
         assert_eq!(oracle, cost2, "seed {seed}: cost-based(2) vs oracle");
     }
@@ -106,12 +106,12 @@ fn dense_and_sparse_worlds_plan_different_backends() {
     assert!(explain.contains("alts:"), "{explain}");
     assert!(explain.contains("µs"), "{explain}");
 
-    // Neutrality on both worlds: the heuristic planner simulates the same
+    // Neutrality on both worlds: the paper pin simulates the same
     // battles, digest for digest.
     for (scen, cost_sim) in [(&dense, &dense_sim), (&sparse, &sparse_sim)] {
-        let mut heuristic = scen.build_with_config(ExecConfig::indexed(&scen.schema));
-        heuristic.run(6).expect("heuristic battle runs");
-        assert_eq!(heuristic.digest(), cost_sim.digest());
+        let mut paper = scen.build_with_config(ExecConfig::indexed(&scen.schema));
+        paper.run(6).expect("paper-pinned battle runs");
+        assert_eq!(paper.digest(), cost_sim.digest());
     }
 }
 
@@ -133,7 +133,7 @@ fn observed_update_rate_flips_incremental_to_rebuild() {
             ..RuntimeStats::default()
         };
         let mut planned = plan_registry(&registry, &scen.table, &config);
-        choose_physical(&mut planned, &stats, &constants, scen.table.len(), true);
+        choose_physical(&mut planned, &stats, &constants, scen.table.len());
         planned
     };
 
@@ -165,7 +165,7 @@ fn observed_update_rate_flips_incremental_to_rebuild() {
 #[test]
 fn explain_surfaces_executed_backends_under_the_heuristic_planner() {
     // The runtime `served:` annotation is not a cost-based feature: the
-    // heuristic planner's explain shows which structures actually answered
+    // paper pin's explain shows which structures actually answered
     // each call site too.
     let scen = scenario(60, 0.02, 9);
     let mut sim = scen.build_with_config(ExecConfig::indexed(&scen.schema));
@@ -176,7 +176,7 @@ fn explain_surfaces_executed_backends_under_the_heuristic_planner() {
         explain.contains("served:"),
         "executed choices missing from explain:\n{explain}"
     );
-    // Heuristic rebuild policy answers divisible aggregates from the
+    // The paper pin answers divisible aggregates from the
     // layered tree; the runtime counters must say so.
     assert!(explain.contains("served: layered-tree"), "{explain}");
     // Naive mode reports scans as the executed choice.
@@ -195,14 +195,14 @@ fn recosting_happens_on_the_window_and_is_counted() {
     assert_eq!(recosts, 3, "window-3 run of 7 ticks re-costs thrice");
     // The first pass priced every indexable call site (a switch each).
     assert!(sim.history()[0].exec.plan_switches > 0);
-    // Heuristic runs never re-cost.
-    let mut heuristic = scen.build_with_config(ExecConfig::indexed(&scen.schema));
-    heuristic.run(3).expect("battle runs");
-    assert!(heuristic
+    // Pinned runs never re-cost.
+    let mut paper = scen.build_with_config(ExecConfig::indexed(&scen.schema));
+    paper.run(3).expect("battle runs");
+    assert!(paper
         .history()
         .iter()
         .all(|r| r.exec.planner_recosts == 0 && r.exec.plan_switches == 0));
-    // The cost-based run matches the heuristic digests tick for tick.
+    // The cost-based run matches the paper pin's digests tick for tick.
     let mut check = scen.build_with_config(ExecConfig::indexed(&scen.schema));
     let heur: Vec<_> = (0..7)
         .map(|_| {
@@ -241,7 +241,7 @@ fn long_idle_windows_recost_from_priors_not_vanishing_ewmas() {
 
     let decide = |stats: &RuntimeStats| {
         let mut planned = plan_registry(&registry, &scen.table, &config);
-        choose_physical(&mut planned, stats, &constants, cardinality, true);
+        choose_physical(&mut planned, stats, &constants, cardinality);
         let mut out: Vec<(String, String, String)> = planned
             .iter()
             .filter_map(|(name, plan)| {
@@ -332,7 +332,7 @@ fn high_churn_worlds_never_materialize_answers() {
             stats.observe_tick(cardinality, changed_rows, 10_000.0, None, &obs);
         }
         let mut planned = plan_registry(&registry, &scen.table, &config);
-        choose_physical(&mut planned, &stats, &constants, cardinality, true);
+        choose_physical(&mut planned, &stats, &constants, cardinality);
         planned
     };
 

@@ -125,13 +125,14 @@ fn different_seeds_produce_different_battles() {
     assert_ne!(xs_a, xs_b);
 }
 
-/// The ISSUE-1 equivalence suite: naive, rebuild-indexed and
-/// incrementally-maintained executors must produce identical effect
-/// relations and state digests on seeded battle scenarios across long runs.
+/// The backend equivalence suite: naive execution and every pinned physical
+/// backend must produce identical effect relations and state digests on
+/// seeded battle scenarios across long runs.
 mod backend_equivalence {
     use sgl::battle::{BattleScenario, ScenarioConfig};
     use sgl::engine::replay::StateDigest;
-    use sgl::exec::{ExecConfig, MaintenancePolicy, RebuildBackend};
+    use sgl::env::Schema;
+    use sgl::exec::{ExecConfig, MaintenanceChoice, PhysicalBackend, PlannerMode};
 
     const TICKS: usize = 50;
 
@@ -148,6 +149,30 @@ mod backend_equivalence {
             .collect()
     }
 
+    /// Every pin, by label (`layered` is the paper's `ExecConfig::indexed`).
+    fn pinned_configs(schema: &Schema) -> Vec<(&'static str, ExecConfig)> {
+        use MaintenanceChoice::*;
+        let pin = |backend, maintenance| {
+            ExecConfig::indexed(schema).with_planner(PlannerMode::Pin(backend, maintenance))
+        };
+        vec![
+            ("layered", ExecConfig::indexed(schema)),
+            ("quadtree", pin(PhysicalBackend::QuadTree, PerTick)),
+            (
+                "grid-incremental",
+                pin(PhysicalBackend::MaintainedGrid, Incremental),
+            ),
+            (
+                "grid-rebuild",
+                pin(PhysicalBackend::MaintainedGrid, Rebuild),
+            ),
+            (
+                "materialized",
+                pin(PhysicalBackend::Materialized, Incremental),
+            ),
+        ]
+    }
+
     fn check_scenario(units: usize, seed: u64) {
         let scenario = BattleScenario::generate(ScenarioConfig {
             units,
@@ -157,39 +182,14 @@ mod backend_equivalence {
         });
         let schema = scenario.schema.clone();
         let naive = digests_for(&scenario, ExecConfig::naive(&schema), "naive");
-        let rebuild = digests_for(&scenario, ExecConfig::indexed(&schema), "rebuild");
-        let quadtree = digests_for(
-            &scenario,
-            ExecConfig::indexed(&schema).with_backend(RebuildBackend::QuadTree),
-            "rebuild/quadtree",
-        );
-        let incremental = digests_for(
-            &scenario,
-            ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental),
-            "incremental",
-        );
-        let adaptive = digests_for(
-            &scenario,
-            ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::adaptive()),
-            "adaptive",
-        );
-        for tick in 0..TICKS {
-            assert_eq!(
-                naive[tick], rebuild[tick],
-                "seed {seed}: naive vs rebuild at tick {tick}"
-            );
-            assert_eq!(
-                naive[tick], quadtree[tick],
-                "seed {seed}: naive vs quadtree at tick {tick}"
-            );
-            assert_eq!(
-                naive[tick], incremental[tick],
-                "seed {seed}: naive vs incremental at tick {tick}"
-            );
-            assert_eq!(
-                naive[tick], adaptive[tick],
-                "seed {seed}: naive vs adaptive at tick {tick}"
-            );
+        for (label, config) in pinned_configs(&schema) {
+            let pinned = digests_for(&scenario, config, label);
+            for tick in 0..TICKS {
+                assert_eq!(
+                    naive[tick], pinned[tick],
+                    "seed {seed}: naive vs {label} at tick {tick}"
+                );
+            }
         }
     }
 
@@ -208,9 +208,9 @@ mod backend_equivalence {
         check_scenario(120, 777);
     }
 
-    /// The ISSUE-2 parallel-equivalence suite: the sharded executor must be
-    /// a pure performance knob — at 2 and 4 worker threads every maintenance
-    /// policy (and the naive baseline) produces **bit-identical**
+    /// The parallel-equivalence suite: the sharded executor must be a pure
+    /// performance knob — at 2 and 4 worker threads every pin (and the
+    /// naive baseline) produces **bit-identical**
     /// `StateDigest`s to serial execution, tick for tick, on the same seeded
     /// battles the backend suite uses.
     mod parallel {
@@ -225,22 +225,8 @@ mod backend_equivalence {
                 ..ScenarioConfig::default()
             });
             let schema = scenario.schema.clone();
-            let configs: Vec<(&'static str, ExecConfig)> = vec![
-                ("naive", ExecConfig::naive(&schema)),
-                ("rebuild", ExecConfig::indexed(&schema)),
-                (
-                    "rebuild/quadtree",
-                    ExecConfig::indexed(&schema).with_backend(RebuildBackend::QuadTree),
-                ),
-                (
-                    "incremental",
-                    ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental),
-                ),
-                (
-                    "adaptive",
-                    ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::adaptive()),
-                ),
-            ];
+            let mut configs = vec![("naive", ExecConfig::naive(&schema))];
+            configs.extend(pinned_configs(&schema));
             for (label, config) in configs {
                 let serial = digests_for(
                     &scenario,
@@ -300,10 +286,13 @@ mod backend_equivalence {
         };
         let mut sims = [
             ("naive", make(ExecConfig::naive(&schema))),
-            ("rebuild", make(ExecConfig::indexed(&schema))),
+            ("layered", make(ExecConfig::indexed(&schema))),
             (
-                "incremental",
-                make(ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental)),
+                "grid-incremental",
+                make(ExecConfig::indexed(&schema).with_planner(PlannerMode::Pin(
+                    PhysicalBackend::MaintainedGrid,
+                    MaintenanceChoice::Incremental,
+                ))),
             ),
         ];
         for tick in 0..20 {

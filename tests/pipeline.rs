@@ -151,3 +151,38 @@ fn compile_rejects_unknown_builtins_and_attributes() {
     )
     .is_err());
 }
+
+/// A script at the parser's nesting budget (nested blocks around a nested
+/// term, and a long `not` chain) runs through every later pass — normalize,
+/// optimize, compile, the oracle, the VM, explain and the pretty-printer —
+/// without exhausting the stack, in debug builds too.
+#[test]
+fn scripts_at_the_nesting_budget_run_through_every_pass() {
+    use sgl::battle::{BattleScenario, ScenarioConfig};
+    use sgl::lang::parser::MAX_NESTING;
+    let n = (MAX_NESTING - 8) / 2;
+    let term = format!("{}u.posx{}", "(".repeat(n), " + 1)".repeat(n));
+    let perform = format!("perform MoveInDirection(u, {term}, u.posy);");
+    let blocks = format!("{}{perform}{}", "{".repeat(n), "}".repeat(n));
+    let conds = format!("{}u.health > 0", "not ".repeat(2 * n));
+    let src = format!("main(u) {{ if {conds} then {blocks} }}");
+    let script = sgl::lang::parse_script(&src).expect("within the budget");
+    assert!(!sgl::lang::pretty::script_to_string(&script).is_empty());
+    let scen = BattleScenario::generate(ScenarioConfig {
+        units: 20,
+        ..Default::default()
+    });
+    for config in [
+        ExecConfig::oracle(&scen.schema),
+        ExecConfig::indexed(&scen.schema),
+    ] {
+        let mut sim = scen.build_with_config(config);
+        sim.clear_scripts();
+        let normal = sgl::lang::normalize(&script, sim.registry()).unwrap();
+        let plan = sgl::algebra::optimize(sgl::algebra::translate(&normal), sim.registry()).plan;
+        sim.add_script("deep", plan, normal, UnitSelector::All)
+            .unwrap();
+        sim.run(2).unwrap();
+        assert!(sim.explain().contains("deep"));
+    }
+}

@@ -62,14 +62,14 @@ fn long_horizon_soak_with_seeded_checkpoints() {
 }
 
 /// Materialized-class soak: a churn-heavy world (deaths + resurrection
-/// moving units every tick) runs the force-materialized configuration in
+/// moving units every tick) runs the materialized pin in
 /// lockstep with the oracle interpreter for the whole horizon, with a
 /// checkpoint/resume in the middle.  Digests must stay bit-identical
 /// through heavy support invalidation — min/max answers whose supporting
 /// extremum died must recompute, never serve a stale fold.
 #[test]
 fn materialized_soak_under_support_invalidation_churn() {
-    use sgl::exec::{ExecConfig, PlannerMode};
+    use sgl::exec::{ExecConfig, MaintenanceChoice, PhysicalBackend, PlannerMode};
     use sgl_testkit::ConformanceCase;
 
     let ticks = (tick_budget() / 2).max(40);
@@ -79,8 +79,10 @@ fn materialized_soak_under_support_invalidation_churn() {
         case.resurrect = true; // deaths respawn and keep the churn going
         let schema = case.world.schema.clone();
 
-        let mat_config =
-            ExecConfig::cost_based(&schema).with_planner(PlannerMode::ForceMaterialized);
+        let mat_config = ExecConfig::indexed(&schema).with_planner(PlannerMode::Pin(
+            PhysicalBackend::Materialized,
+            MaintenanceChoice::Incremental,
+        ));
         let mut oracle = case.build(ExecConfig::oracle(&schema));
         let mut mat = case.build(mat_config);
 
